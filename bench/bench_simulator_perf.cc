@@ -426,6 +426,47 @@ BENCHMARK(BM_FleetScaling100k)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_FleetRouter100k(benchmark::State &state)
+{
+    // Per-router cost at fleet scale: the fleet-scale CI smoke (10^5
+    // 8-token requests at 800 QPS with a 30 s deadline, CLI seed and
+    // batch limit) over 1024 healthy nodes.  Arg = RouterPolicy value
+    // (0 rr, 2 deadline, 3 cost); items/s = fleet events per second.
+    // The deadline and cost routers score every candidate, so their
+    // events/s relative to rr's in the same run tracks the grouped
+    // service-estimate path (DESIGN.md §15) free of host speed.
+    const auto policy = static_cast<er::fleet::RouterPolicy>(state.range(0));
+    er::fleet::FleetConfig fc;
+    fc.nodes.assign(1024, er::fleet::NodeSpec{ModelId::DeepScaleR1_5B});
+    fc.server.maxBatch = 30;
+    fc.router = policy;
+    static const auto trace = [] {
+        er::Rng rng(777, "cli-serve");
+        auto t = er::engine::ServingSimulator::poissonTrace(
+            rng, 100000, 800.0, 8, 8);
+        for (auto &r : t)
+            r.deadline = 30.0;
+        return t;
+    }();
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        er::fleet::FleetSimulator sim(fc);
+        auto rep = sim.run(trace);
+        events = rep.events;
+        benchmark::DoNotOptimize(rep);
+    }
+    state.SetLabel(er::fleet::routerPolicyName(policy));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(events));
+    state.counters["fleet_events"] = static_cast<double>(events);
+}
+BENCHMARK(BM_FleetRouter100k)
+    ->Arg(static_cast<int>(er::fleet::RouterPolicy::RoundRobin))
+    ->Arg(static_cast<int>(er::fleet::RouterPolicy::DeadlineAware))
+    ->Arg(static_cast<int>(er::fleet::RouterPolicy::CostAware))
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_FleetCheckpointResume(benchmark::State &state)
 {
     // The fleet durability tax end to end: a checkpointed run killed

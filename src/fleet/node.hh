@@ -49,6 +49,8 @@ struct NodeSpec
     model::ModelId model = model::ModelId::Dsr1Qwen1_5B;
     bool quantized = false;
     hw::PowerMode powerMode = hw::PowerMode::MaxN;
+
+    bool operator==(const NodeSpec &) const = default;
 };
 
 /** Lifetime totals of one node across all incarnations. */
@@ -222,8 +224,18 @@ class FleetNode
      * Optimistic service-time estimate for @p r at the current batch
      * level, from the engine's noiseless query surface (deadline- and
      * cost-aware routing).
+     *
+     * Invariant the routers' grouped estimates rely on: the result is
+     * a pure function of (spec(), inFlight(), @p r), because the
+     * engine is a pure function of spec() and its memo is exact.
      */
     Seconds estimateServiceTime(const engine::ServerRequest &r) const;
+
+    /** @return the node engine's step-cost memo counters. */
+    engine::KernelCacheStats kernelCacheStats() const
+    {
+        return engine_->kernelCacheStats();
+    }
 
     /**
      * Serialize the node's complete mutable state into a fleet

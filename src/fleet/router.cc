@@ -83,17 +83,28 @@ Router::candidates(const std::vector<NodeView> &views,
     return candBuf_;
 }
 
+Seconds
+Router::groupEstimate(const engine::ServerRequest &req,
+                      const FleetNode &node)
+{
+    const int in_flight = node.inFlight();
+    for (const auto &g : groups_)
+        if (g.inFlight == in_flight && *g.spec == node.spec())
+            return g.est;
+    const Seconds est = node.estimateServiceTime(req);
+    groups_.push_back({&node.spec(), in_flight, est});
+    return est;
+}
+
 namespace {
 
-/** Backlog-scaled predicted finish of @p req on node @p i: the
- *  optimistic service estimate stretched by the queue ahead of it. */
+/** Backlog-scaled predicted finish on @p node whose optimistic
+ *  service estimate is @p est: the estimate stretched by the queue
+ *  ahead of it. */
 Seconds
-predictedFinish(const engine::ServerRequest &req, Seconds now,
-                const NodeView &v)
+predictedFinish(Seconds est, Seconds now, const FleetNode &node)
 {
-    const Seconds est = v.node->estimateServiceTime(req);
-    return now +
-        est * (1.0 + static_cast<double>(v.node->backlog()));
+    return now + est * (1.0 + static_cast<double>(node.backlog()));
 }
 
 class RoundRobinRouter final : public Router
@@ -194,12 +205,14 @@ class DeadlineAwareRouter final : public Router
         if (ids.empty())
             return cloud.enabled ? RouteDecision::toCloud()
                                  : RouteDecision::reject();
+        clearEstimates();
         int best = -1;
         Seconds best_finish =
             std::numeric_limits<Seconds>::infinity();
         for (const int i : ids) {
-            const Seconds f = predictedFinish(
-                req, now, views[static_cast<std::size_t>(i)]);
+            const FleetNode &n = *views[static_cast<std::size_t>(i)].node;
+            const Seconds f =
+                predictedFinish(groupEstimate(req, n), now, n);
             if (f < best_finish) {
                 best = i;
                 best_finish = f;
@@ -242,6 +255,7 @@ class CostAwareRouter final : public Router
 
         // Cheapest deadline-feasible edge candidate; energy proxy =
         // optimistic service time x the node's power-mode cap.
+        clearEstimates();
         int best_feasible = -1;
         double best_cost =
             std::numeric_limits<double>::infinity();
@@ -251,17 +265,17 @@ class CostAwareRouter final : public Router
         std::size_t min_backlog =
             std::numeric_limits<std::size_t>::max();
         for (const int i : ids) {
-            const auto &v = views[static_cast<std::size_t>(i)];
-            const Seconds f = predictedFinish(req, now, v);
+            const FleetNode &n = *views[static_cast<std::size_t>(i)].node;
+            const Seconds est = groupEstimate(req, n);
+            const Seconds f = predictedFinish(est, now, n);
             if (f < best_finish) {
                 best_any = i;
                 best_finish = f;
             }
-            min_backlog = std::min(min_backlog, v.node->backlog());
+            min_backlog = std::min(min_backlog, n.backlog());
             if (f <= abs_deadline + engine::kDeadlineSlack) {
                 const double cost =
-                    v.node->estimateServiceTime(req) *
-                    hw::powerModeCap(v.node->spec().powerMode);
+                    est * hw::powerModeCap(n.spec().powerMode);
                 if (cost < best_cost) {
                     best_feasible = i;
                     best_cost = cost;

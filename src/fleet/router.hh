@@ -22,12 +22,18 @@
  *    node id;
  *  - deadline-aware: minimum predicted finish (optimistic service
  *    estimate from the node engine's noiseless query surface, scaled
- *    by the node's backlog); offloads to the cloud when no edge
- *    candidate is predicted to meet the deadline but the cloud is;
+ *    by the node's backlog), ties to the lowest node id; offloads to
+ *    the cloud when no edge candidate is predicted to meet the
+ *    deadline but the cloud is;
  *  - cost-aware: cheapest deadline-feasible edge candidate (service
- *    time x the node's power cap as the energy proxy); falls back to
- *    deadline order when nothing is feasible, and offloads to the
- *    cloud on edge saturation or edge-infeasible deadlines.
+ *    time x the node's power cap as the energy proxy), ties to the
+ *    lowest node id; falls back to deadline order when nothing is
+ *    feasible, and offloads to the cloud on edge saturation or
+ *    edge-infeasible deadlines.
+ *
+ * The deadline- and cost-aware policies evaluate one service estimate
+ * per (NodeSpec, in-flight) group per dispatch, which is exact (see
+ * FleetNode::estimateServiceTime).
  */
 
 #ifndef EDGEREASON_FLEET_ROUTER_HH
@@ -47,6 +53,7 @@ namespace edgereason {
 namespace fleet {
 
 class FleetNode;
+struct NodeSpec;
 
 /** Routing policy selector. */
 enum class RouterPolicy {
@@ -175,7 +182,27 @@ class Router
     candidates(const std::vector<NodeView> &views,
                std::uint64_t views_gen, int exclude);
 
+    /**
+     * Service estimate of @p req on @p node, evaluated once per
+     * (spec, in-flight) group since the last clearEstimates(), which
+     * the estimate-driven policies call at the start of route().  The
+     * table is reused scratch, so a warm dispatch allocates nothing.
+     */
+    Seconds groupEstimate(const engine::ServerRequest &req,
+                          const FleetNode &node);
+    void clearEstimates() { groups_.clear(); }
+
   private:
+    /** One (spec, in-flight) group's estimate for the current call;
+     *  @c spec points at a candidate node's spec, read only within the
+     *  route() call that stored it. */
+    struct EstimateGroup
+    {
+        const NodeSpec *spec;
+        int inFlight;
+        Seconds est;
+    };
+
     /** Unconditional filter pass behind the candidates() cache. */
     static void buildCandidates(const std::vector<NodeView> &views,
                                 int exclude, std::vector<int> *out);
@@ -184,6 +211,7 @@ class Router
     std::vector<int> excludeBuf_; //!< scratch for exclude >= 0
     std::uint64_t candGen_ = 0;   //!< views_gen candBuf_ was built at
     bool candPrimed_ = false;     //!< candBuf_ holds a real build
+    std::vector<EstimateGroup> groups_; //!< groupEstimate() scratch
 };
 
 /** Policy factory. */

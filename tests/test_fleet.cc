@@ -4,12 +4,18 @@
  * determinism, router-policy golden reports (exact EXPECT_EQ on the
  * %.17g formatFleetReport string), thread-count bit-identity,
  * hedging cancel-on-first-win, failover conservation under a forced
- * node crash, graceful drain, per-try timeouts with retry, and the
- * cloud-offload tier.
+ * node crash, graceful drain, per-try timeouts with retry, the
+ * cloud-offload tier, and the deadline/cost routers' grouped service
+ * estimates against a per-candidate oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -464,6 +470,311 @@ TEST(FleetCloud, SaturationOffloadsAndCharges)
     EXPECT_GT(rep.offloaded, 0u);
     EXPECT_GT(rep.cloudDollars, 0.0);
     EXPECT_GT(rep.dollarsPerQuery, 0.0);
+}
+
+// --- Grouped router estimates: decisions match a brute oracle -------
+
+constexpr er::Seconds kInf = std::numeric_limits<er::Seconds>::infinity();
+
+/** Which branch the oracle decision took (coverage bookkeeping). */
+enum class OracleBranch { Node, DeadlineCloud, Saturated, CostCloud };
+
+/**
+ * Test-local reference of the deadline- and cost-aware policies: the
+ * shared candidate filter with progressive relaxation, one
+ * estimateServiceTime() call per candidate, and strict `<` arg-mins
+ * in ascending id order (ties to the lowest id).
+ */
+RouteDecision
+oracleRoute(RouterPolicy policy, const ServerRequest &req, er::Seconds now,
+            er::Seconds abs_deadline, const std::vector<NodeView> &views,
+            const CloudTier &cloud, int exclude, OracleBranch *branch)
+{
+    *branch = OracleBranch::Node;
+    std::vector<int> ids;
+    for (int relax = 0; relax < 3 && ids.empty(); ++relax)
+        for (std::size_t i = 0; i < views.size(); ++i) {
+            const int id = static_cast<int>(i);
+            if (views[i].up && (relax >= 1 || !views[i].draining) &&
+                (relax >= 2 || id != exclude))
+                ids.push_back(id);
+        }
+    if (ids.empty())
+        return cloud.enabled ? RouteDecision::toCloud()
+                             : RouteDecision::reject();
+    const er::Seconds due = abs_deadline + er::engine::kDeadlineSlack;
+    int best_any = -1;
+    int best_feasible = -1;
+    er::Seconds best_finish = kInf;
+    double best_cost = kInf;
+    std::size_t min_backlog = std::numeric_limits<std::size_t>::max();
+    for (const int i : ids) {
+        const FleetNode &n = *views[static_cast<std::size_t>(i)].node;
+        const er::Seconds est = n.estimateServiceTime(req);
+        const er::Seconds f =
+            now + est * (1.0 + static_cast<double>(n.backlog()));
+        if (f < best_finish) {
+            best_any = i;
+            best_finish = f;
+        }
+        min_backlog = std::min(min_backlog, n.backlog());
+        const double cost = est * er::hw::powerModeCap(n.spec().powerMode);
+        if (f <= due && cost < best_cost) {
+            best_feasible = i;
+            best_cost = cost;
+        }
+    }
+    const bool cloud_feasible =
+        cloud.enabled && now + cloud.latency(req) <= due;
+    const bool finite = abs_deadline < kInf;
+    if (policy == RouterPolicy::DeadlineAware) {
+        if (cloud_feasible && finite && best_finish > due) {
+            *branch = OracleBranch::DeadlineCloud;
+            return RouteDecision::toCloud();
+        }
+        return RouteDecision::toNode(best_any);
+    }
+    if (cloud.enabled && min_backlog >= cloud.saturationBacklog) {
+        *branch = OracleBranch::Saturated;
+        return RouteDecision::toCloud();
+    }
+    if (best_feasible >= 0)
+        return RouteDecision::toNode(best_feasible);
+    if (cloud_feasible && finite) {
+        *branch = OracleBranch::CostCloud;
+        return RouteDecision::toCloud();
+    }
+    return RouteDecision::toNode(best_any);
+}
+
+std::vector<std::unique_ptr<FleetNode>>
+idleFleet(const std::vector<NodeSpec> &specs, int max_batch)
+{
+    er::engine::ServerConfig cfg;
+    cfg.maxBatch = max_batch;
+    std::vector<std::unique_ptr<FleetNode>> nodes;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        nodes.push_back(std::make_unique<FleetNode>(
+            static_cast<int>(i), specs[i], cfg, er::engine::FaultPlan()));
+    return nodes;
+}
+
+std::vector<NodeView>
+viewsOf(const std::vector<std::unique_ptr<FleetNode>> &nodes)
+{
+    std::vector<NodeView> views(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        views[i].node = nodes[i].get();
+        views[i].up = nodes[i]->up();
+    }
+    return views;
+}
+
+ServerRequest
+shapedRequest(er::Seconds arrival, er::Tokens in, er::Tokens out)
+{
+    ServerRequest r;
+    r.arrival = arrival;
+    r.inputTokens = in;
+    r.outputTokens = out;
+    return r;
+}
+
+std::uint64_t
+memoMisses(const std::vector<std::unique_ptr<FleetNode>> &nodes)
+{
+    std::uint64_t m = 0;
+    for (const auto &n : nodes)
+        m += n->kernelCacheStats().misses;
+    return m;
+}
+
+TEST(FleetRouterOracle, GroupedEstimatesMatchPerCandidateOracle)
+{
+    // 16 nodes over 8 distinct specs (2 models x FP16/W4A16 x 2 power
+    // modes); node i and i + 8 share a spec.
+    const er::model::ModelId models[] = {
+        er::model::ModelId::DeepScaleR1_5B,
+        er::model::ModelId::Dsr1Qwen1_5B};
+    const er::hw::PowerMode modes[] = {er::hw::PowerMode::MaxN,
+                                       er::hw::PowerMode::W30};
+    std::vector<NodeSpec> specs;
+    for (int i = 0; i < 16; ++i)
+        specs.push_back(NodeSpec{models[i % 2], (i / 2) % 2 == 1,
+                                 modes[(i / 4) % 2]});
+    auto nodes = idleFleet(specs, 3);
+
+    // Varied load: with maxBatch 3 a node holds up to three legs in
+    // flight and queues the rest, and legs dispatched for a later
+    // instant stay pending; both count as backlog.
+    const er::Seconds now = 0.5;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const std::size_t load = (3 * i) % 7;
+        for (std::size_t k = 0; k < load; ++k)
+            nodes[i]->submit(shapedRequest(0.0, 96 + 32 * k, 2048),
+                             static_cast<std::int64_t>(100 * i + k));
+        if (i % 5 == 4)
+            nodes[i]->submit(shapedRequest(now + 10.0, 64, 64),
+                             static_cast<std::int64_t>(100 * i + 99));
+        nodes[i]->advanceUntil(now, false);
+    }
+    nodes[5]->crash();
+
+    // The fleet must exercise grouping: shared (spec, in-flight)
+    // pairs whose backlogs differ, and more than one batch level.
+    std::set<int> levels;
+    bool shared_group_differs = false;
+    for (std::size_t i = 0; i < 8; ++i) {
+        const auto &a = *nodes[i];
+        const auto &b = *nodes[i + 8];
+        if (a.up() && b.up() && a.inFlight() == b.inFlight() &&
+            a.backlog() != b.backlog())
+            shared_group_differs = true;
+    }
+    for (const auto &n : nodes)
+        levels.insert(n->inFlight());
+    ASSERT_TRUE(shared_group_differs);
+    ASSERT_GE(levels.size(), 3u);
+
+    CloudTier off;
+    CloudTier cloud;
+    cloud.enabled = true;
+    cloud.price = er::cost::o4Mini();
+    cloud.rtt = 0.01;
+    cloud.price.userTps = 1e6; // always faster than any edge node
+    CloudTier saturating = cloud;
+    saturating.saturationBacklog = 1;
+
+    const std::vector<ServerRequest> shapes = {
+        shapedRequest(now, 64, 128), shapedRequest(now, 300, 700),
+        shapedRequest(now, 1000, 64), shapedRequest(now, 17, 4000)};
+    // Relative deadlines: none, below any edge finish (cloud-only),
+    // and a range that splits the edge candidates.
+    const er::Seconds rel_deadlines[] = {kInf, 0.05, 3.0, 15.0, 60.0,
+                                         600.0};
+
+    std::vector<NodeView> views = viewsOf(nodes);
+    std::uint64_t gen = 0;
+    std::size_t branches[4] = {};
+    std::size_t cases = 0;
+    for (const RouterPolicy policy :
+         {RouterPolicy::DeadlineAware, RouterPolicy::CostAware}) {
+        // One router instance across every case, so estimates left
+        // over from an earlier dispatch would corrupt later ones.
+        const auto router = makeRouter(policy);
+        // Health patterns: all up; every third node draining; only
+        // nodes 12..15 up; only nodes with a queue up (saturation).
+        for (int pattern = 0; pattern < 4; ++pattern) {
+            for (std::size_t i = 0; i < views.size(); ++i) {
+                views[i].up = nodes[i]->up() &&
+                    !(pattern == 2 && i < 12) &&
+                    !(pattern == 3 && nodes[i]->backlog() == 0);
+                views[i].draining = pattern >= 1 && i % 3 == 0;
+            }
+            ++gen;
+            for (const CloudTier *tier : {&off, &cloud, &saturating})
+                for (const int exclude : {-1, 2, 13, 15})
+                    for (const auto &req : shapes)
+                        for (const er::Seconds rel : rel_deadlines) {
+                            const er::Seconds due = now + rel;
+                            OracleBranch branch;
+                            const auto want =
+                                oracleRoute(policy, req, now, due, views,
+                                            *tier, exclude, &branch);
+                            const auto got = router->route(
+                                req, now, due, views, gen, *tier, exclude);
+                            SCOPED_TRACE(std::string(
+                                             routerPolicyName(policy)) +
+                                         " pattern " +
+                                         std::to_string(pattern) +
+                                         " exclude " +
+                                         std::to_string(exclude) +
+                                         " rel " + std::to_string(rel));
+                            EXPECT_EQ(got.node, want.node);
+                            EXPECT_EQ(got.cloud, want.cloud);
+                            ++branches[static_cast<int>(branch)];
+                            ++cases;
+                        }
+        }
+    }
+    EXPECT_GT(branches[static_cast<int>(OracleBranch::Node)], cases / 4);
+    EXPECT_GT(branches[static_cast<int>(OracleBranch::DeadlineCloud)], 0u);
+    EXPECT_GT(branches[static_cast<int>(OracleBranch::Saturated)], 0u);
+    EXPECT_GT(branches[static_cast<int>(OracleBranch::CostCloud)], 0u);
+}
+
+TEST(FleetRouterOracle, IdenticalNodesGroupOnlyAtEqualBatch)
+{
+    const auto nodes = idleFleet(
+        std::vector<NodeSpec>(8, NodeSpec{er::model::ModelId::DeepScaleR1_5B}),
+        16);
+    const auto views = viewsOf(nodes);
+    const auto req = shapedRequest(0.0, 128, 256);
+    for (const RouterPolicy policy :
+         {RouterPolicy::DeadlineAware, RouterPolicy::CostAware}) {
+        SCOPED_TRACE(routerPolicyName(policy));
+        const auto router = makeRouter(policy);
+        EXPECT_EQ(router->route(req, 0.0, kInf, views, 1, CloudTier{}, -1)
+                      .node,
+                  0);
+        EXPECT_EQ(router->route(req, 0.0, 600.0, views, 1, CloudTier{}, -1)
+                      .node,
+                  0);
+        EXPECT_EQ(router->route(req, 0.0, kInf, views, 1, CloudTier{}, 0)
+                      .node,
+                  1);
+    }
+
+    // Node 0 now runs three legs (no queue): same spec as node 1 but a
+    // larger batch, so it must not lend node 1 its estimate.
+    for (std::int64_t k = 0; k < 3; ++k)
+        nodes[0]->submit(shapedRequest(0.0, 64, 4096), k);
+    nodes[0]->advanceUntil(1.0, false);
+    ASSERT_EQ(nodes[0]->inFlight(), 3);
+    ASSERT_EQ(nodes[0]->backlog(), 0u);
+    const auto late = shapedRequest(1.0, 128, 256);
+    ASSERT_GT(nodes[0]->estimateServiceTime(late),
+              nodes[1]->estimateServiceTime(late));
+    for (const RouterPolicy policy :
+         {RouterPolicy::DeadlineAware, RouterPolicy::CostAware}) {
+        SCOPED_TRACE(routerPolicyName(policy));
+        EXPECT_EQ(makeRouter(policy)
+                      ->route(late, 1.0, kInf, views, 1, CloudTier{}, -1)
+                      .node,
+                  1);
+    }
+}
+
+TEST(FleetRouterOracle, OneEstimatePerGroupPerDispatch)
+{
+    // Exact count, independent of host speed: every service estimate
+    // on a fresh request shape misses the node engine's prefill and
+    // decode memos once each.  64 identical idle nodes form a single
+    // (spec, in-flight) group, so one dispatch costs two misses where
+    // a per-candidate evaluation costs 128.
+    const auto nodes = idleFleet(
+        std::vector<NodeSpec>(64, NodeSpec{er::model::ModelId::DeepScaleR1_5B}),
+        16);
+    const auto views = viewsOf(nodes);
+
+    std::uint64_t before = memoMisses(nodes);
+    for (const auto &n : nodes)
+        n->estimateServiceTime(shapedRequest(0.0, 111, 222));
+    EXPECT_EQ(memoMisses(nodes) - before, 128u); // the per-candidate cost
+
+    er::Tokens in = 300;
+    for (const RouterPolicy policy :
+         {RouterPolicy::DeadlineAware, RouterPolicy::CostAware}) {
+        SCOPED_TRACE(routerPolicyName(policy));
+        const auto router = makeRouter(policy);
+        for (int k = 0; k < 3; ++k, in += 7) {
+            before = memoMisses(nodes);
+            const auto dec = router->route(shapedRequest(0.0, in, 500), 0.0,
+                                           600.0, views, 1, CloudTier{}, -1);
+            EXPECT_EQ(dec.node, 0);
+            EXPECT_EQ(memoMisses(nodes) - before, 2u);
+        }
+    }
 }
 
 } // namespace
