@@ -266,17 +266,6 @@ parseServeOptions(const std::vector<std::string> &args,
              opt.fleetJournals = v;
              return std::string();
          }},
-        {"fleet-index", [&](const std::string &v) {
-             if (v == "on")
-                 opt.fleetIndex = true;
-             else if (v == "off")
-                 opt.fleetIndex = false;
-             else
-                 return "invalid --fleet-index value: " + v +
-                     " (expected on|off)";
-             fleet_only_flag = true;
-             return std::string();
-         }},
         {"sessions", longOpt(&opt.sessions, 1, "--sessions")},
         {"turns-per-session", [&](const std::string &v) {
              session_only_flag = true;

@@ -28,6 +28,22 @@ PoissonTraceStream::PoissonTraceStream(std::uint64_t seed,
 }
 
 ServerRequest
+VectorTraceSource::next()
+{
+    panic_if(pos_ >= trace_->size(), "trace exhausted after ",
+             trace_->size(), " requests");
+    return (*trace_)[pos_++];
+}
+
+void
+VectorTraceSource::seek(std::size_t pos)
+{
+    fatal_if(pos > trace_->size(), "trace position ", pos,
+             " is past the trace end ", trace_->size());
+    pos_ = pos;
+}
+
+ServerRequest
 PoissonTraceStream::next()
 {
     panic_if(drawn_ >= n_, "trace stream exhausted after ", n_,

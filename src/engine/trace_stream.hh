@@ -1,10 +1,12 @@
 /**
  * @file
- * Streaming request-trace sources (DESIGN.md §15).  A 10⁶-request
- * fleet trace materialized as std::vector<ServerRequest> costs
- * hundreds of MB before the first event is processed; a TraceSource
- * hands the fleet driver one request at a time, so a run of any
- * length holds O(1) trace state.
+ * Request-trace sources (DESIGN.md §15): the fleet driver's one
+ * ingestion interface.  A 10⁶-request fleet trace materialized as
+ * std::vector<ServerRequest> costs hundreds of MB before the first
+ * event is processed; a TraceSource hands the driver one request at a
+ * time, so a generated run of any length holds O(1) trace state.
+ * VectorTraceSource adapts an already materialized trace (the
+ * checkpointable case: the fleet fingerprint hashes the vector).
  *
  * PoissonTraceStream draws the exact sequence
  * ServingSimulator::poissonTrace draws — same Rng, same call order —
@@ -21,6 +23,7 @@
 
 #include <cstddef>
 #include <string_view>
+#include <vector>
 
 #include "common/rng.hh"
 #include "engine/request_state.hh"
@@ -39,6 +42,27 @@ class TraceSource
     virtual std::size_t totalRequests() const = 0;
     /** Draw the next request; panics past totalRequests(). */
     virtual ServerRequest next() = 0;
+};
+
+/** Replays a materialized trace in order.  Borrows the vector (it
+ *  must outlive the source); seek() repositions it for a fleet
+ *  checkpoint resume. */
+class VectorTraceSource final : public TraceSource
+{
+  public:
+    explicit VectorTraceSource(const std::vector<ServerRequest> &trace)
+        : trace_(&trace)
+    {
+    }
+
+    std::size_t totalRequests() const override { return trace_->size(); }
+    ServerRequest next() override;
+    /** Make the next next() call return request @p pos. */
+    void seek(std::size_t pos);
+
+  private:
+    const std::vector<ServerRequest> *trace_;
+    std::size_t pos_ = 0;
 };
 
 /** Poisson arrivals with log-normal input/output lengths, one request

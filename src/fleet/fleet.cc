@@ -97,7 +97,6 @@ FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
     router_ = makeRouter(cfg_.router);
 
     liveOnNode_.resize(nodes_.size());
-    drained_.assign(nodes_.size(), 0);
     consecFailures_.assign(nodes_.size(), 0);
     cooldownUntil_.assign(nodes_.size(), 0.0);
     degradeDepth_.assign(nodes_.size(), 0);
@@ -111,9 +110,9 @@ FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
 
 void
 FleetSimulator::push(Seconds t, int kind, std::int64_t gid, int node,
-                     std::size_t served_idx, Seconds aux)
+                     Seconds aux)
 {
-    heap_.push_back({t, kind, seq_++, gid, node, served_idx, aux});
+    heap_.push_back({t, kind, seq_++, gid, node, aux});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
@@ -121,43 +120,28 @@ void
 FleetSimulator::drainNode(std::size_t i)
 {
     FleetNode &node = *nodes_[i];
-    const std::size_t end = node.servedEnd();
-    for (; drained_[i] < end; ++drained_[i]) {
-        const auto &rec = node.servedAt(drained_[i]);
+    for (const auto &rec : node.undrained()) {
         // Cancelled records are the echo of a driver-side
         // withdrawal, already fully accounted for.
         if (rec.outcome == engine::RequestOutcome::Cancelled) {
-            if (streaming_)
-                node.dropLocal(rec.traceIndex);
+            node.dropLocal(rec.traceIndex);
             continue;
         }
         Event e;
         e.time = rec.finish;
         e.kind = KOutcome;
         e.seq = seq_++;
-        e.gid = streaming_ ? node.consumeLocal(rec.traceIndex)
-                           : node.gidForLocal(rec.traceIndex);
+        e.gid = node.consumeLocal(rec.traceIndex);
         e.node = static_cast<int>(i);
-        e.servedIdx = drained_[i];
         // The record's driver-visible fields travel in the event, so
-        // no handler reads the record again (and streaming runs may
-        // release it below).
+        // no handler reads the record again and it is released below.
         e.local = rec.traceIndex;
         e.latency = rec.latency();
-        e.generated = rec.generated;
         e.legOutcome = static_cast<std::uint8_t>(rec.outcome);
         heap_.push_back(e);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
     }
-    if (streaming_)
-        node.compactServed(drained_[i]);
-}
-
-void
-FleetSimulator::drainOutcomes()
-{
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        drainNode(i);
+    node.releaseDrained();
 }
 
 void
@@ -166,19 +150,11 @@ FleetSimulator::syncNodesTo(Seconds target)
     auto &pool = ThreadPool::global();
     while (true) {
         lagBuf_.clear();
-        if (cfg_.nodeIndex) {
-            // Index invariant: key == clock for every up-and-busy
-            // node, +inf otherwise — so collectLagging evaluates the
-            // legacy per-node lag test, in the legacy scan order,
-            // touching only qualifying heap subtrees.
-            stopIndex_.collectLagging(target, kTimeSlack, lagBuf_);
-        } else {
-            for (std::size_t i = 0; i < nodes_.size(); ++i) {
-                if (nodes_[i]->up() && nodes_[i]->busy() &&
-                    nodes_[i]->clock() + kTimeSlack < target)
-                    lagBuf_.push_back(static_cast<int>(i));
-            }
-        }
+        // Index invariant: key == clock for every up-and-busy node,
+        // +inf otherwise — so collectLagging evaluates the per-node
+        // lag test `clock + slack < target` in ascending id order,
+        // touching only qualifying heap subtrees.
+        stopIndex_.collectLagging(target, kTimeSlack, lagBuf_);
         if (lagBuf_.empty())
             break;
         if (lagBuf_.size() == 1) {
@@ -196,27 +172,17 @@ FleetSimulator::syncNodesTo(Seconds target)
                             ->advanceUntil(target, true);
                 });
         }
-        if (cfg_.nodeIndex) {
-            for (const int i : lagBuf_)
-                refreshNode(static_cast<std::size_t>(i));
-            // Only advanced nodes can hold new records: every earlier
-            // round drained its own laggards, and the only records
-            // produced outside advanceUntil are cancel echoes, which
-            // drainNode skips whenever it does reach them.  Draining
-            // just the laggards (in the same ascending-id order) thus
-            // pushes the same events with the same seq numbers.
-            for (const int i : lagBuf_)
-                drainNode(static_cast<std::size_t>(i));
-        } else {
-            drainOutcomes();
-        }
+        for (const int i : lagBuf_)
+            refreshNode(static_cast<std::size_t>(i));
+        // Only advanced nodes can hold new records: every earlier
+        // round drained its own laggards, and the only records
+        // produced outside advanceUntil are cancel echoes, which
+        // drainNode skips whenever it does reach them.  Draining just
+        // the laggards (in ascending-id order) thus pushes the same
+        // events with the same seq numbers as draining every node.
+        for (const int i : lagBuf_)
+            drainNode(static_cast<std::size_t>(i));
     }
-}
-
-Seconds
-FleetSimulator::nextNodeStop() const
-{
-    return cfg_.nodeIndex ? stopIndex_.minKey() : nextNodeStopBrute();
 }
 
 Seconds
@@ -232,8 +198,6 @@ FleetSimulator::nextNodeStopBrute() const
 void
 FleetSimulator::refreshNode(std::size_t i)
 {
-    if (!cfg_.nodeIndex)
-        return;
     const FleetNode &n = *nodes_[i];
     stopIndex_.update(i, n.up() && n.busy() ? n.clock()
                                             : NodeStopIndex::kNoStop);
@@ -242,14 +206,8 @@ FleetSimulator::refreshNode(std::size_t i)
 void
 FleetSimulator::refreshAllNodes()
 {
-    if (!cfg_.nodeIndex)
-        return;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const FleetNode &n = *nodes_[i];
-        stopIndex_.update(i, n.up() && n.busy()
-                                 ? n.clock()
-                                 : NodeStopIndex::kNoStop);
-    }
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        refreshNode(i);
 }
 
 void
@@ -340,9 +298,8 @@ FleetSimulator::draining(int node, Seconds now) const
 }
 
 void
-FleetSimulator::cancelLeg(Track &t, int slot, Seconds now)
+FleetSimulator::cancelLeg(Track &t, int slot)
 {
-    (void)now;
     Leg &leg = t.legs[slot];
     panic_if(!leg.live, "cancel of a dead leg");
     panic_if(leg.node < 0, "cloud legs cannot be cancelled");
@@ -358,36 +315,27 @@ FleetSimulator::cancelLeg(Track &t, int slot, Seconds now)
 }
 
 void
-FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish,
-                            Tokens generated, int served_by)
+FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish)
 {
     panic_if(t.terminal, "double-terminal fleet track ", t.gid);
     for (int slot = 0; slot < 2; ++slot)
         if (t.legs[slot].live)
-            cancelLeg(t, slot, finish);
+            cancelLeg(t, slot);
     t.terminal = true;
-    t.outcome = o;
-    t.finish = finish;
-    t.generated = generated;
-    t.servedBy = served_by;
-    if (streaming_) {
-        // Terminal tracks fold into the running report aggregates and
-        // their slots recycle: live state is O(in-flight).  Callers'
-        // reference stays valid (the slot is only reused by a later
-        // arrival).
-        foldTrack(t);
-        const auto it = slotOf_.find(t.gid);
-        panic_if(it == slotOf_.end(), "fold of unmapped track ", t.gid);
-        freeSlots_.push_back(it->second);
-        slotOf_.erase(it);
-    }
+    // Terminal tracks fold into the running report aggregates and
+    // their slots recycle: live state is O(in-flight).  Callers'
+    // reference stays valid (the slot is only reused by a later
+    // arrival).
+    foldTrack(t, o, finish);
+    const auto it = slotOf_.find(t.gid);
+    panic_if(it == slotOf_.end(), "fold of unmapped track ", t.gid);
+    freeSlots_.push_back(it->second);
+    slotOf_.erase(it);
 }
 
 FleetSimulator::Track *
 FleetSimulator::findTrack(std::int64_t gid)
 {
-    if (!streaming_)
-        return &tracks_[static_cast<std::size_t>(gid)];
     const auto it = slotOf_.find(gid);
     return it == slotOf_.end() ? nullptr : &tracks_[it->second];
 }
@@ -417,10 +365,10 @@ FleetSimulator::allocTrack(std::int64_t gid)
 }
 
 void
-FleetSimulator::foldTrack(const Track &t)
+FleetSimulator::foldTrack(const Track &t, FleetOutcome o, Seconds finish)
 {
-    foldMakespan_ = std::max(foldMakespan_, t.finish);
-    switch (t.outcome) {
+    foldMakespan_ = std::max(foldMakespan_, finish);
+    switch (o) {
       case FleetOutcome::Served:
         ++foldServed_;
         break;
@@ -434,11 +382,10 @@ FleetSimulator::foldTrack(const Track &t)
         ++foldOffloaded_;
         break;
     }
-    if (t.outcome == FleetOutcome::Served ||
-        t.outcome == FleetOutcome::Offloaded) {
-        const double lat = t.finish - t.req.arrival;
+    if (o == FleetOutcome::Served || o == FleetOutcome::Offloaded) {
+        const double lat = finish - t.req.arrival;
         if (t.absDeadline == kInf ||
-            t.finish <= t.absDeadline + kDeadlineSlack)
+            finish <= t.absDeadline + kDeadlineSlack)
             ++foldDeadlineMet_;
         if (approxStats_) {
             latSum_ += lat;
@@ -454,9 +401,8 @@ FleetSimulator::foldTrack(const Track &t)
 
 void
 FleetSimulator::dispatch(Track &t, Seconds now, int exclude,
-                         bool is_hedge, bool is_failover)
+                         bool is_hedge)
 {
-    (void)is_failover;
     refreshViews(now);
     const RouteDecision d = router_->route(t.req, now, t.absDeadline,
                                            viewsBuf_, viewsGen_,
@@ -467,7 +413,7 @@ FleetSimulator::dispatch(Track &t, Seconds now, int exclude,
         if (d.cloud || d.rejected() || d.node == exclude)
             return;
     } else if (d.rejected()) {
-        finishTrack(t, FleetOutcome::Shed, now, 0, -1);
+        finishTrack(t, FleetOutcome::Shed, now);
         return;
     } else if (d.cloud) {
         cloudDollars_ += cfg_.cloud.dollars(t.req);
@@ -529,7 +475,7 @@ void
 FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
 {
     if (t.attempts > cfg_.maxRetries) {
-        finishTrack(t, FleetOutcome::TimedOut, now, 0, -1);
+        finishTrack(t, FleetOutcome::TimedOut, now);
         return;
     }
     const Seconds backoff = std::min(
@@ -538,7 +484,7 @@ FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
             static_cast<double>(1ull << std::min(t.attempts - 1, 40)));
     const Seconds at = now + backoff;
     if (at + kDeadlineSlack >= t.absDeadline) {
-        finishTrack(t, FleetOutcome::TimedOut, now, 0, -1);
+        finishTrack(t, FleetOutcome::TimedOut, now);
         return;
     }
     push(at, KRetryTimer, t.gid, failed_node);
@@ -548,37 +494,21 @@ FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
 void
 FleetSimulator::onArrival(const Event &e)
 {
-    if (streaming_) {
-        Track &t = allocTrack(e.gid);
-        t.req = streamPending_;
-        t.gid = e.gid;
-        t.absDeadline = t.req.deadline > 0.0
-            ? t.req.arrival + t.req.deadline
-            : kInf;
-        dispatch(t, e.time, -1, false, false);
-        if (streamIssued_ < streamTotal_) {
-            const Seconds prev = streamPending_.arrival;
-            streamPending_ = src_->next();
-            fatal_if(streamPending_.arrival < prev,
-                     "fleet trace arrivals must be sorted");
-            push(streamPending_.arrival, KArrival,
-                 static_cast<std::int64_t>(streamIssued_), -1);
-            ++streamIssued_;
-        }
-        return;
-    }
-    const std::size_t idx = static_cast<std::size_t>(e.gid);
-    Track &t = tracks_[idx];
-    t.req = (*trace_)[idx];
+    Track &t = allocTrack(e.gid);
+    t.req = srcPending_;
     t.gid = e.gid;
     t.absDeadline = t.req.deadline > 0.0
         ? t.req.arrival + t.req.deadline
         : kInf;
-    dispatch(t, e.time, -1, false, false);
-    if (nextArrival_ < trace_->size()) {
-        push((*trace_)[nextArrival_].arrival, KArrival,
-             static_cast<std::int64_t>(nextArrival_), -1);
-        ++nextArrival_;
+    dispatch(t, e.time, -1, false);
+    if (srcIssued_ < srcTotal_) {
+        const Seconds prev = srcPending_.arrival;
+        srcPending_ = src_->next();
+        fatal_if(srcPending_.arrival < prev,
+                 "fleet trace arrivals must be sorted");
+        push(srcPending_.arrival, KArrival,
+             static_cast<std::int64_t>(srcIssued_), -1);
+        ++srcIssued_;
     }
 }
 
@@ -587,7 +517,7 @@ FleetSimulator::onOutcome(const Event &e)
 {
     Track *tp = findTrack(e.gid);
     if (tp == nullptr)
-        return; // stale: the track already folded (streaming)
+        return; // stale: the track already folded
     Track &t = *tp;
     int slot = -1;
     for (int s = 0; s < 2; ++s)
@@ -609,8 +539,7 @@ FleetSimulator::onOutcome(const Event &e)
         if (slot == t.hedgeSlot)
             ++hedgeWins_;
         // e.time is the record's finish instant verbatim.
-        finishTrack(t, FleetOutcome::Served, e.time, e.generated,
-                    e.node);
+        finishTrack(t, FleetOutcome::Served, e.time);
         return;
     }
 
@@ -633,8 +562,7 @@ FleetSimulator::onCloudDone(const Event &e)
             slot = s;
     panic_if(slot < 0, "cloud completion without a live cloud leg");
     t.legs[slot].live = false;
-    finishTrack(t, FleetOutcome::Offloaded, e.time,
-                t.req.outputTokens, -2);
+    finishTrack(t, FleetOutcome::Offloaded, e.time);
 }
 
 void
@@ -658,7 +586,7 @@ FleetSimulator::onCrash(const Event &e)
 
     for (const std::int64_t gid : lost) {
         // A live leg keeps its track non-terminal, so lost gids are
-        // never folded-away streaming tracks.
+        // never folded-away tracks.
         Track &t = trackAt(gid);
         for (int s = 0; s < 2; ++s)
             if (t.legs[s].live && t.legs[s].node == e.node)
@@ -668,11 +596,11 @@ FleetSimulator::onCrash(const Event &e)
         if (t.legs[0].live || t.legs[1].live)
             continue; // the hedge partner carries on
         if (e.time + kDeadlineSlack >= t.absDeadline) {
-            finishTrack(t, FleetOutcome::TimedOut, e.time, 0, -1);
+            finishTrack(t, FleetOutcome::TimedOut, e.time);
             continue;
         }
         ++failovers_;
-        dispatch(t, e.time, e.node, false, true);
+        dispatch(t, e.time, e.node, false);
     }
 }
 
@@ -703,7 +631,7 @@ FleetSimulator::onHedgeTimer(const Event &e)
         return; // cloud legs are not hedged
     if (e.time + kDeadlineSlack >= t.absDeadline)
         return;
-    dispatch(t, e.time, leg.node, true, false);
+    dispatch(t, e.time, leg.node, true);
 }
 
 void
@@ -718,42 +646,11 @@ FleetSimulator::onRetryTimer(const Event &e)
     if (t.terminal || t.legs[0].live || t.legs[1].live)
         return;
     if (e.time + kDeadlineSlack >= t.absDeadline) {
-        finishTrack(t, FleetOutcome::TimedOut, e.time, 0, -1);
+        finishTrack(t, FleetOutcome::TimedOut, e.time);
         return;
     }
     ++retries_;
-    dispatch(t, e.time, e.node, false, false);
-}
-
-void
-FleetSimulator::auditTrack(std::size_t gid, const Track &t,
-                           std::size_t &live_legs,
-                           std::size_t &edge_legs) const
-{
-    const int live =
-        (t.legs[0].live ? 1 : 0) + (t.legs[1].live ? 1 : 0);
-    live_legs += static_cast<std::size_t>(live);
-    if (t.terminal) {
-        fatal_if(live != 0, "fleet audit: terminal track ", gid,
-                 " still has ", live, " live leg(s)");
-        fatal_if(t.pendingTimers != 0, "fleet audit: terminal "
-                 "track ", gid, " has pending retry timers");
-    } else {
-        fatal_if(live == 0 && t.pendingTimers == 0,
-                 "fleet audit: track ", gid,
-                 " is lost (no live leg, no pending timer)");
-    }
-    for (int s = 0; s < 2; ++s) {
-        const Leg &leg = t.legs[s];
-        if (!leg.live || leg.node < 0)
-            continue;
-        ++edge_legs;
-        const auto &set =
-            liveOnNode_[static_cast<std::size_t>(leg.node)];
-        fatal_if(set.find(t.gid) == set.end(), "fleet audit: leg "
-                 "of track ", gid, " missing from node ",
-                 leg.node, "'s live set");
-    }
+    dispatch(t, e.time, e.node, false);
 }
 
 void
@@ -778,19 +675,26 @@ FleetSimulator::auditStopIndex() const
 void
 FleetSimulator::audit(Seconds now) const
 {
-    std::size_t live_legs = 0;
     // Every live edge leg is in exactly one node set (hedges never
     // share a node, so gid sets count legs exactly).
     std::size_t edge_legs = 0;
-    if (streaming_) {
-        for (const auto &kv : slotOf_)
-            auditTrack(static_cast<std::size_t>(kv.first),
-                       tracks_[kv.second], live_legs, edge_legs);
-    } else {
-        for (std::size_t gid = 0; gid < tracks_.size(); ++gid) {
-            if (tracks_[gid].gid < 0)
-                continue; // not yet arrived
-            auditTrack(gid, tracks_[gid], live_legs, edge_legs);
+    for (const auto &[gid, slot] : slotOf_) {
+        const Track &t = tracks_[slot];
+        fatal_if(t.terminal, "fleet audit: terminal track ", gid,
+                 " was never released");
+        fatal_if(!t.legs[0].live && !t.legs[1].live &&
+                     t.pendingTimers == 0,
+                 "fleet audit: track ", gid,
+                 " is lost (no live leg, no pending timer)");
+        for (const Leg &leg : t.legs) {
+            if (!leg.live || leg.node < 0)
+                continue;
+            ++edge_legs;
+            const auto &set =
+                liveOnNode_[static_cast<std::size_t>(leg.node)];
+            fatal_if(set.find(gid) == set.end(), "fleet audit: leg "
+                     "of track ", gid, " missing from node ", leg.node,
+                     "'s live set");
         }
     }
     std::size_t on_nodes = 0;
@@ -804,8 +708,7 @@ FleetSimulator::audit(Seconds now) const
              ")");
     fatal_if(now + kTimeSlack < now_,
              "fleet audit: time ran backwards");
-    if (cfg_.nodeIndex)
-        auditStopIndex();
+    auditStopIndex();
 }
 
 FleetReport
@@ -818,11 +721,6 @@ FleetReport
 FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
                     const FleetDurabilityOptions &dur)
 {
-    fatal_if(trace_ != nullptr || streaming_,
-             "FleetSimulator::run is single-shot");
-    for (std::size_t i = 1; i < trace.size(); ++i)
-        fatal_if(trace[i].arrival < trace[i - 1].arrival,
-                 "fleet trace arrivals must be sorted");
     const bool durable = !dur.checkpointDir.empty();
     fatal_if(dur.resume && !durable,
              "fleet resume needs a checkpoint directory");
@@ -830,12 +728,10 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
                  !durable,
              "fleet crash injection without a checkpoint directory "
              "would lose the run");
-    trace_ = &trace;
+    engine::VectorTraceSource src(trace);
+    attachSource(src);
 
     const std::uint64_t fp = durable ? fleetFingerprint(trace) : 0;
-    std::uint64_t restoredEvent = 0;
-    bool resumed = false;
-
     if (dur.resume) {
         const auto ckpts = engine::listCheckpoints(dur.checkpointDir);
         fatal_if(ckpts.empty(), "fleet resume: no checkpoints in ",
@@ -843,71 +739,45 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
         const std::string payload =
             engine::loadCheckpointFile(ckpts.back().second, fp);
         ByteReader r(payload);
-        restoreState(r, dur);
+        restoreState(r, dur, src);
         r.expectEnd("fleet checkpoint");
         fatal_if(eventCount_ != ckpts.back().first,
                  "fleet checkpoint ", ckpts.back().second,
                  " is named for event ", ckpts.back().first,
                  " but its state is at event ", eventCount_);
-        restoredEvent = eventCount_;
-        resumed = true;
+        eventLoop(dur, durable, fp, true, eventCount_);
     } else {
-        tracks_.assign(trace.size(), Track{});
-        scheduleNodeEvents();
-        if (!trace.empty()) {
-            push(trace[0].arrival, KArrival, 0, -1);
-            nextArrival_ = 1;
-        }
+        startFresh();
+        eventLoop(dur, durable, fp, false, 0);
     }
-
-    eventLoop(dur, durable, fp, resumed, restoredEvent);
-
-    audit(now_);
-    for (std::size_t gid = 0; gid < tracks_.size(); ++gid)
-        fatal_if(!tracks_[gid].terminal, "fleet conservation violated: "
-                 "request ", gid, " never reached a terminal state");
-    return buildReport();
+    return finishRun();
 }
 
 FleetReport
 FleetSimulator::runStream(engine::TraceSource &src, bool approx_stats)
 {
-    fatal_if(trace_ != nullptr || streaming_,
-             "FleetSimulator::run is single-shot");
-    streaming_ = true;
+    attachSource(src);
     approxStats_ = approx_stats;
-    src_ = &src;
-    streamTotal_ = src.totalRequests();
-    for (auto &n : nodes_)
-        n->setStreamLocals(true);
-    scheduleNodeEvents();
-    if (streamTotal_ > 0) {
-        streamPending_ = src_->next();
-        streamIssued_ = 1;
-        push(streamPending_.arrival, KArrival, 0, -1);
-    }
-
+    startFresh();
     eventLoop(FleetDurabilityOptions{}, false, 0, false, 0);
-
-    audit(now_);
-    fatal_if(!slotOf_.empty(), "fleet conservation violated: ",
-             slotOf_.size(),
-             " request(s) never reached a terminal state");
-    const std::size_t folded =
-        foldServed_ + foldTimedOut_ + foldShed_ + foldOffloaded_;
-    fatal_if(folded != streamTotal_, "fleet conservation violated: ",
-             folded, " folded outcomes for ", streamTotal_,
-             " arrivals");
-    return buildStreamReport();
+    return finishRun();
 }
 
 void
-FleetSimulator::scheduleNodeEvents()
+FleetSimulator::attachSource(engine::TraceSource &src)
+{
+    fatal_if(src_ != nullptr, "FleetSimulator::run is single-shot");
+    src_ = &src;
+    srcTotal_ = src.totalRequests();
+}
+
+void
+FleetSimulator::startFresh()
 {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         nodes_[i]->beginJournal();
         for (const auto &c : schedules_[i].crashes)
-            push(c.time, KCrash, -1, static_cast<int>(i), 0,
+            push(c.time, KCrash, -1, static_cast<int>(i),
                  c.rebootAfter);
         for (const auto &d : schedules_[i].degrades) {
             push(d.start, KDegradeStart, -1, static_cast<int>(i));
@@ -923,6 +793,26 @@ FleetSimulator::scheduleNodeEvents()
                  static_cast<int>(i));
         }
     }
+    if (srcTotal_ > 0) {
+        srcPending_ = src_->next();
+        srcIssued_ = 1;
+        push(srcPending_.arrival, KArrival, 0, -1);
+    }
+}
+
+FleetReport
+FleetSimulator::finishRun()
+{
+    audit(now_);
+    fatal_if(!slotOf_.empty(), "fleet conservation violated: ",
+             slotOf_.size(),
+             " request(s) never reached a terminal state");
+    const std::size_t folded =
+        foldServed_ + foldTimedOut_ + foldShed_ + foldOffloaded_;
+    fatal_if(folded != srcTotal_, "fleet conservation violated: ",
+             folded, " folded outcomes for ", srcTotal_, " arrivals");
+    std::sort(foldLat_.begin(), foldLat_.end());
+    return buildReport();
 }
 
 void
@@ -930,12 +820,12 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
                           bool durable, std::uint64_t fp, bool resumed,
                           std::uint64_t restored_event)
 {
-    // The arrival-burst fast path needs the index (its no-laggard test
-    // must be O(1)) and would race the per-event durability gates.
-    const bool burst = cfg_.nodeIndex && !durable;
+    // The arrival-burst fast path would race the per-event
+    // durability gates.
+    const bool burst = !durable;
     while (true) {
         if (heap_.empty()) {
-            const Seconds lo = nextNodeStop();
+            const Seconds lo = stopIndex_.minKey();
             if (lo == kInf)
                 break; // no events, no busy nodes: done
             syncNodesTo(lo + kDrainQuantum);
@@ -1044,12 +934,11 @@ FleetSimulator::fleetFingerprint(
     // single-node checkpoint discipline: paranoid, journalDir, and
     // every crash-injection knob — resuming under a different (or no)
     // crash plan is the normal recovery flow.
-    // v2: Event records carry the KOutcome payload (local, latency,
-    // generated, legOutcome).  cfg_.nodeIndex is deliberately NOT
-    // hashed: the index is value-identical derived state, so either
-    // path may resume the other's checkpoints.
+    // v3: the checkpoint carries folded state — live tracks, fold
+    // tallies, the trace position, compacted node records — instead
+    // of v2's full track table, so v2 files are refused.
     ByteWriter w;
-    w.str("edgereason-fleet-ckpt-v2");
+    w.str("edgereason-fleet-ckpt-v3");
     w.u8(static_cast<std::uint8_t>(cfg_.router));
     w.u64(cfg_.nodes.size());
     for (const NodeSpec &s : cfg_.nodes) {
@@ -1146,10 +1035,12 @@ FleetSimulator::writeCheckpoint(const FleetDurabilityOptions &dur,
 void
 FleetSimulator::serializeState(ByteWriter &w) const
 {
+    // Durable runs always keep exact statistics, so the approx-mode
+    // P² latency state never needs to travel.
     w.f64(now_);
     w.u64(seq_);
     w.u64(eventCount_);
-    w.u64(nextArrival_);
+    w.u64(srcIssued_);
     // The heap vector verbatim, in container order: the array layout
     // (not just the multiset of events) is part of the run's
     // determinism, and round-tripping it preserves the heap property
@@ -1161,38 +1052,52 @@ FleetSimulator::serializeState(ByteWriter &w) const
         w.u64(e.seq);
         w.i64(e.gid);
         w.i64(e.node);
-        w.u64(e.servedIdx);
         w.f64(e.aux);
         w.i64(e.local);
         w.f64(e.latency);
-        w.i64(e.generated);
         w.u8(e.legOutcome);
     }
+    // Live tracks in ascending gid order, each with its pool slot,
+    // then the free-slot stack: the pool layout round-trips exactly.
+    std::vector<std::pair<std::int64_t, std::size_t>> live(
+        slotOf_.begin(), slotOf_.end());
+    std::sort(live.begin(), live.end());
     w.u64(tracks_.size());
-    for (const Track &t : tracks_) {
+    w.u64(live.size());
+    for (const auto &[gid, slot] : live) {
+        const Track &t = tracks_[slot];
+        w.u64(slot);
         engine::serialize(w, t.req);
         w.i64(t.gid);
         w.f64(t.absDeadline);
-        for (int s = 0; s < 2; ++s) {
-            w.i64(t.legs[s].node);
-            w.i64(t.legs[s].local);
-            w.u8(t.legs[s].live ? 1 : 0);
+        for (const Leg &leg : t.legs) {
+            w.i64(leg.node);
+            w.i64(leg.local);
+            w.u8(leg.live ? 1 : 0);
         }
         w.i64(t.hedgeSlot);
         w.i64(t.attempts);
         w.i64(t.pendingTimers);
         w.u8(t.hedgeScheduled ? 1 : 0);
-        w.u8(t.terminal ? 1 : 0);
-        w.u8(static_cast<std::uint8_t>(t.outcome));
-        w.f64(t.finish);
-        w.i64(t.generated);
-        w.i64(t.servedBy);
+    }
+    w.u64(freeSlots_.size());
+    for (const std::size_t slot : freeSlots_)
+        w.u64(slot);
+    w.u64(foldServed_);
+    w.u64(foldTimedOut_);
+    w.u64(foldShed_);
+    w.u64(foldOffloaded_);
+    w.u64(foldDeadlineMet_);
+    w.f64(foldMakespan_);
+    w.u64(foldLat_.size());
+    for (const auto &[gid, lat] : foldLat_) {
+        w.i64(gid);
+        w.f64(lat);
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         w.u64(liveOnNode_[i].size());
         for (const std::int64_t gid : liveOnNode_[i])
             w.i64(gid);
-        w.u64(drained_[i]);
         w.i64(consecFailures_[i]);
         w.f64(cooldownUntil_[i]);
         w.i64(degradeDepth_[i]);
@@ -1214,15 +1119,23 @@ FleetSimulator::serializeState(ByteWriter &w) const
 
 void
 FleetSimulator::restoreState(ByteReader &r,
-                             const FleetDurabilityOptions &dur)
+                             const FleetDurabilityOptions &dur,
+                             engine::VectorTraceSource &src)
 {
     now_ = r.f64();
     seq_ = r.u64();
     eventCount_ = r.u64();
-    nextArrival_ = r.u64();
+    srcIssued_ = static_cast<std::size_t>(r.u64());
+    fatal_if(srcIssued_ > srcTotal_, "fleet checkpoint trace position ",
+             srcIssued_, " is past the trace end ", srcTotal_);
+    if (srcIssued_ > 0) {
+        src.seek(srcIssued_ - 1);
+        srcPending_ = src.next();
+    }
     heap_.clear();
     const std::uint64_t nheap = r.u64();
     heap_.reserve(nheap);
+    bool arrival_queued = false;
     for (std::uint64_t i = 0; i < nheap; ++i) {
         Event e;
         e.time = r.f64();
@@ -1230,44 +1143,77 @@ FleetSimulator::restoreState(ByteReader &r,
         e.seq = r.u64();
         e.gid = r.i64();
         e.node = static_cast<int>(r.i64());
-        e.servedIdx = static_cast<std::size_t>(r.u64());
         e.aux = r.f64();
         e.local = r.i64();
         e.latency = r.f64();
-        e.generated = r.i64();
         e.legOutcome = r.u8();
+        arrival_queued = arrival_queued || e.kind == KArrival;
         heap_.push_back(e);
     }
-    const std::uint64_t ntracks = r.u64();
-    fatal_if(ntracks != trace_->size(),
-             "fleet checkpoint tracks ", ntracks,
-             " disagree with the trace size ", trace_->size());
-    tracks_.assign(static_cast<std::size_t>(ntracks), Track{});
-    for (Track &t : tracks_) {
+
+    const std::uint64_t pool = r.u64();
+    const std::uint64_t nlive = r.u64();
+    fatal_if(nlive > pool, "fleet checkpoint has ", nlive,
+             " live tracks in a pool of ", pool);
+    tracks_.assign(static_cast<std::size_t>(pool), Track{});
+    std::vector<bool> taken(tracks_.size(), false);
+    const auto claim = [&](std::uint64_t slot) {
+        fatal_if(slot >= pool || taken[slot], "fleet checkpoint "
+                 "track slot ", slot, " is out of range or reused");
+        taken[slot] = true;
+        return static_cast<std::size_t>(slot);
+    };
+    slotOf_.clear();
+    for (std::uint64_t k = 0; k < nlive; ++k) {
+        const std::size_t slot = claim(r.u64());
+        Track &t = tracks_[slot];
         engine::restore(r, t.req);
         t.gid = r.i64();
         t.absDeadline = r.f64();
-        for (int s = 0; s < 2; ++s) {
-            t.legs[s].node = static_cast<int>(r.i64());
-            t.legs[s].local = r.i64();
-            t.legs[s].live = r.u8() != 0;
+        for (Leg &leg : t.legs) {
+            leg.node = static_cast<int>(r.i64());
+            leg.local = r.i64();
+            leg.live = r.u8() != 0;
         }
         t.hedgeSlot = static_cast<int>(r.i64());
         t.attempts = static_cast<int>(r.i64());
         t.pendingTimers = static_cast<int>(r.i64());
         t.hedgeScheduled = r.u8() != 0;
-        t.terminal = r.u8() != 0;
-        t.outcome = static_cast<FleetOutcome>(r.u8());
-        t.finish = r.f64();
-        t.generated = r.i64();
-        t.servedBy = static_cast<int>(r.i64());
+        fatal_if(t.gid < 0 ||
+                     static_cast<std::uint64_t>(t.gid) >= srcIssued_ ||
+                     !slotOf_.emplace(t.gid, slot).second,
+                 "fleet checkpoint track gid ", t.gid,
+                 " is out of range or duplicated");
     }
+    freeSlots_.resize(static_cast<std::size_t>(r.u64()));
+    fatal_if(nlive + freeSlots_.size() != pool, "fleet checkpoint "
+             "pool of ", pool, " slots has ", nlive, " live and ",
+             freeSlots_.size(), " free");
+    for (std::size_t &slot : freeSlots_)
+        slot = claim(r.u64());
+    foldServed_ = static_cast<std::size_t>(r.u64());
+    foldTimedOut_ = static_cast<std::size_t>(r.u64());
+    foldShed_ = static_cast<std::size_t>(r.u64());
+    foldOffloaded_ = static_cast<std::size_t>(r.u64());
+    foldDeadlineMet_ = static_cast<std::size_t>(r.u64());
+    foldMakespan_ = r.f64();
+    foldLat_.resize(static_cast<std::size_t>(r.u64()));
+    for (auto &[gid, lat] : foldLat_) {
+        gid = r.i64();
+        lat = r.f64();
+    }
+    // Every drawn request is folded, live, or the queued arrival.
+    const std::size_t folded =
+        foldServed_ + foldTimedOut_ + foldShed_ + foldOffloaded_;
+    fatal_if(folded + nlive + (arrival_queued ? 1 : 0) != srcIssued_,
+             "fleet checkpoint accounts for ", folded, " folded + ",
+             nlive, " live requests at trace position ", srcIssued_);
+
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         liveOnNode_[i].clear();
-        const std::uint64_t nlive = r.u64();
-        for (std::uint64_t k = 0; k < nlive; ++k)
+        const std::uint64_t nlegs = r.u64();
+        for (std::uint64_t k = 0; k < nlegs; ++k)
             liveOnNode_[i].insert(r.i64());
-        drained_[i] = static_cast<std::size_t>(r.u64());
         consecFailures_[i] = static_cast<int>(r.i64());
         cooldownUntil_[i] = r.f64();
         degradeDepth_[i] = static_cast<int>(r.i64());
@@ -1297,74 +1243,7 @@ FleetSimulator::buildReport() const
 {
     FleetReport r;
     r.router = cfg_.router;
-    r.arrivals = tracks_.size();
-
-    std::vector<double> latencies;
-    std::size_t deadline_met = 0;
-    Seconds makespan = 0.0;
-    for (const Track &t : tracks_) {
-        makespan = std::max(makespan, t.finish);
-        switch (t.outcome) {
-          case FleetOutcome::Served:
-            ++r.served;
-            break;
-          case FleetOutcome::TimedOut:
-            ++r.timedOut;
-            break;
-          case FleetOutcome::Shed:
-            ++r.shed;
-            break;
-          case FleetOutcome::Offloaded:
-            ++r.offloaded;
-            break;
-        }
-        if (t.outcome == FleetOutcome::Served ||
-            t.outcome == FleetOutcome::Offloaded) {
-            latencies.push_back(t.finish - t.req.arrival);
-            if (t.absDeadline == kInf ||
-                t.finish <= t.absDeadline + kDeadlineSlack)
-                ++deadline_met;
-        }
-    }
-    r.retries = retries_;
-    r.failovers = failovers_;
-    r.hedgesLaunched = hedgesLaunched_;
-    r.hedgeWins = hedgeWins_;
-    r.hedgeWaste = hedgeWaste_;
-    r.cancelledLegs = cancelledLegs_;
-    r.adaptiveHealth = cfg_.adaptiveHealth;
-    r.adaptiveEjections = adaptiveEjections_;
-    r.makespan = makespan;
-
-    const std::size_t finished = r.served + r.offloaded;
-    if (makespan > 0.0) {
-        r.throughput = static_cast<double>(finished) / makespan;
-        r.goodput = static_cast<double>(deadline_met) / makespan;
-    }
-    if (r.arrivals > 0)
-        r.deadlineHitRate = static_cast<double>(deadline_met) /
-            static_cast<double>(r.arrivals);
-    if (!latencies.empty()) {
-        double sum = 0.0;
-        for (const double v : latencies)
-            sum += v;
-        r.meanLatency = sum / static_cast<double>(latencies.size());
-        r.p50Latency = percentile(latencies, 50.0);
-        r.p99Latency = percentile(latencies, 99.0);
-        r.p999Latency = percentile(latencies, 99.9);
-    }
-
-    r.events = eventCount_;
-    fillNodeAndCost(r, finished);
-    return r;
-}
-
-FleetReport
-FleetSimulator::buildStreamReport() const
-{
-    FleetReport r;
-    r.router = cfg_.router;
-    r.arrivals = streamTotal_;
+    r.arrivals = srcTotal_;
     r.served = foldServed_;
     r.timedOut = foldTimedOut_;
     r.shed = foldShed_;
@@ -1390,14 +1269,11 @@ FleetSimulator::buildStreamReport() const
             static_cast<double>(r.arrivals);
 
     if (!approxStats_) {
-        // Exact mode: tracks fold in completion order, but the
-        // materialized path sums latencies in gid order — re-sort so
-        // the FP sum (and the percentile inputs) are bit-identical.
-        auto by_gid = foldLat_;
-        std::sort(by_gid.begin(), by_gid.end());
+        // foldLat_ is in gid order (finishRun sorts it): the FP sum
+        // and percentile inputs are in request order.
         std::vector<double> latencies;
-        latencies.reserve(by_gid.size());
-        for (const auto &kv : by_gid)
+        latencies.reserve(foldLat_.size());
+        for (const auto &kv : foldLat_)
             latencies.push_back(kv.second);
         if (!latencies.empty()) {
             double sum = 0.0;
@@ -1416,16 +1292,8 @@ FleetSimulator::buildStreamReport() const
         r.p99Latency = latP99_.value();
         r.p999Latency = latP999_.value();
     }
-
     r.events = eventCount_;
-    fillNodeAndCost(r, finished);
-    return r;
-}
 
-void
-FleetSimulator::fillNodeAndCost(FleetReport &r,
-                                std::size_t finished) const
-{
     Seconds total_busy = 0.0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeTotals tot = nodes_[i]->totals();
@@ -1458,6 +1326,7 @@ FleetSimulator::fillNodeAndCost(FleetReport &r,
     if (finished > 0)
         r.dollarsPerQuery = (r.edgeDollars + r.cloudDollars) /
             static_cast<double>(finished);
+    return r;
 }
 
 std::string

@@ -125,16 +125,6 @@ struct FleetConfig
 
     CloudTier cloud;
 
-    /**
-     * Drive syncNodesTo/nextNodeStop from the next-stop-time index
-     * (DESIGN.md §15) instead of the legacy all-node scans.  Value-
-     * identical by construction — the escape hatch exists for the
-     * bit-identity matrix tests and for bisecting regressions
-     * (`--fleet-index off`).  Excluded from the checkpoint
-     * fingerprint: either path resumes the other's checkpoints.
-     */
-    bool nodeIndex = true;
-
     /** Audit the fleet invariants after every event (tests/chaos). */
     bool paranoid = false;
     /** When non-empty, per-node incarnation journals land here. */
@@ -211,10 +201,11 @@ std::string formatFleetReport(const FleetReport &r);
  * Crash-safety controls for one fleet run (all off by default).  A
  * fleet checkpoint is one versioned, checksummed container
  * (engine/checkpoint.hh format, fleet payload) snapshotting the
- * driver — event heap, tracks and live legs, router cursor, breaker
- * and latency-quantile state, tallies — plus every node's complete
- * serving stack, so a killed fleet process resumes and finishes
- * bit-identically to an uninterrupted run at any thread count.
+ * driver — event heap, live tracks and legs, the folded tallies of
+ * finished tracks, the trace position, router cursor, breaker and
+ * latency-quantile state — plus every node's complete serving stack,
+ * so a killed fleet process resumes and finishes bit-identically to
+ * an uninterrupted run at any thread count.
  */
 struct FleetDurabilityOptions
 {
@@ -260,7 +251,12 @@ class FleetSimulator
   public:
     explicit FleetSimulator(FleetConfig cfg);
 
-    /** Run @p trace to completion and return the fleet report. */
+    /**
+     * Run @p trace to completion and return the fleet report.  The
+     * vector is replayed through a VectorTraceSource, so this is the
+     * runStream() path with exact statistics: terminal tracks fold
+     * away and drained node records are compacted.
+     */
     FleetReport run(const std::vector<engine::ServerRequest> &trace);
 
     /**
@@ -268,24 +264,24 @@ class FleetSimulator
      * @p dur.checkpointEvery events, resume from the latest
      * checkpoint, and/or crash-inject.  A resumed run must present
      * the same configuration and trace (enforced by the fleet
-     * fingerprint in the checkpoint header).
+     * fingerprint in the checkpoint header, which hashes the vector).
      */
     FleetReport run(const std::vector<engine::ServerRequest> &trace,
                     const FleetDurabilityOptions &dur);
 
     /**
-     * Run a streaming trace (DESIGN.md §15): requests are drawn from
-     * @p src one at a time, terminal tracks are folded into running
-     * aggregates and released, and drained node records are compacted
-     * away — so memory is O(in-flight requests), independent of the
-     * trace length.  With @p approx_stats false (the default) the
-     * per-request latencies of finished requests are retained and the
-     * report is bit-identical to run() on the materialized trace;
+     * Run requests drawn from @p src one at a time (DESIGN.md §15):
+     * terminal tracks are folded into running aggregates and
+     * released, and drained node records are compacted away — so
+     * memory is O(in-flight requests), independent of the trace
+     * length.  With @p approx_stats false (the default) the
+     * per-request latencies of finished requests are retained and
+     * the report is bit-identical to run() on the materialized trace;
      * with it true, latency mean/percentiles come from streaming P²
      * estimators and the run is constant-memory outright.
      *
-     * Streaming excludes checkpoint/resume (a resumable run needs the
-     * full trace for its fingerprint anyway — materialize instead).
+     * Not checkpointable: a resumable run needs the full trace for
+     * its fingerprint, so it goes through run(trace, dur).
      */
     FleetReport runStream(engine::TraceSource &src,
                           bool approx_stats = false);
@@ -308,11 +304,9 @@ class FleetSimulator
         int attempts = 0;          //!< dispatches so far
         int pendingTimers = 0;     //!< scheduled retry timers
         bool hedgeScheduled = false;
+        /** Set by finishTrack, which folds and releases the track;
+         *  the handler that finished it may still hold a reference. */
         bool terminal = false;
-        FleetOutcome outcome = FleetOutcome::Served;
-        Seconds finish = 0.0;
-        Tokens generated = 0;
-        int servedBy = -1; //!< node id, or -2 for the cloud
     };
 
     struct Event
@@ -322,18 +316,14 @@ class FleetSimulator
         std::uint64_t seq = 0;
         std::int64_t gid = -1;   //!< request events
         int node = -1;           //!< node events / outcome node
-        std::size_t servedIdx = 0; //!< outcome record index
         Seconds aux = 0.0;       //!< reboot delay / window end
 
         // KOutcome payload, copied from the served record at drain
-        // time (ckpt wire format v2).  Carrying the record's driver-
-        // visible fields in the event removes the served()[servedIdx]
-        // indirection from the hot path and — since no handler reads
-        // a record after its drain — lets streaming runs release
-        // drained records (constant-memory 10⁶-request traces).
+        // time.  No handler reads a record after its drain, so the
+        // node releases drained records (constant-memory 10⁶-request
+        // traces).
         std::int64_t local = -1;   //!< node-local trace index
         Seconds latency = 0.0;     //!< queueDelay + serviceTime
-        Tokens generated = 0;
         std::uint8_t legOutcome = 0; //!< engine::RequestOutcome
 
         bool operator>(const Event &o) const
@@ -359,11 +349,11 @@ class FleetSimulator
     };
 
     void push(Seconds t, int kind, std::int64_t gid, int node,
-              std::size_t served_idx = 0, Seconds aux = 0.0);
+              Seconds aux = 0.0);
     void syncNodesTo(Seconds target);
-    void drainOutcomes();
     void drainNode(std::size_t i);
-    Seconds nextNodeStop() const;
+    /** Linear-scan minimum of the stop keys: the paranoid auditor's
+     *  cross-check of the stop index. */
     Seconds nextNodeStopBrute() const;
     /** Re-key node @p i in the stop index after any state change. */
     void refreshNode(std::size_t i);
@@ -373,12 +363,11 @@ class FleetSimulator
      *  window). */
     void refreshViews(Seconds now);
 
-    void dispatch(Track &t, Seconds now, int exclude, bool is_hedge,
-                  bool is_failover);
+    void dispatch(Track &t, Seconds now, int exclude, bool is_hedge);
     void scheduleRetry(Track &t, Seconds now, int failed_node);
-    void finishTrack(Track &t, FleetOutcome o, Seconds finish,
-                     Tokens generated, int served_by);
-    void cancelLeg(Track &t, int slot, Seconds now);
+    /** Cancel @p t's live legs, then fold and release it. */
+    void finishTrack(Track &t, FleetOutcome o, Seconds finish);
+    void cancelLeg(Track &t, int slot);
     void noteFailure(int node, Seconds now);
     void noteSuccess(int node);
     void noteLatency(int node, Seconds latency, Seconds now);
@@ -391,7 +380,8 @@ class FleetSimulator
     void writeCheckpoint(const FleetDurabilityOptions &dur,
                          std::uint64_t fingerprint);
     void serializeState(ByteWriter &w) const;
-    void restoreState(ByteReader &r, const FleetDurabilityOptions &dur);
+    void restoreState(ByteReader &r, const FleetDurabilityOptions &dur,
+                      engine::VectorTraceSource &src);
 
     void onOutcome(const Event &e);
     void onCloudDone(const Event &e);
@@ -401,30 +391,27 @@ class FleetSimulator
     void onRetryTimer(const Event &e);
     void onArrival(const Event &e);
 
-    /** The shared event loop behind run() and runStream(). */
+    /** Bind @p src as the arrival source (single-shot). */
+    void attachSource(engine::TraceSource &src);
+    /** Fresh run: open journals, push every node's fault schedule and
+     *  the first arrival. */
+    void startFresh();
     void eventLoop(const FleetDurabilityOptions &dur, bool durable,
                    std::uint64_t fp, bool resumed,
                    std::uint64_t restored_event);
-    /** Open journals and push every node's fault schedule (fresh runs
-     *  of both flavours). */
-    void scheduleNodeEvents();
+    /** End-of-run audit and conservation check, then the report. */
+    FleetReport finishRun();
 
-    // Track addressing.  Materialized runs index tracks_ by gid;
-    // streaming runs pool-allocate tracks and fold terminal ones
-    // away, so a gid may legitimately resolve to nothing.
+    // Track addressing: tracks are pool-allocated and terminal ones
+    // fold away, so a gid may legitimately resolve to nothing.
     Track *findTrack(std::int64_t gid);
     Track &trackAt(std::int64_t gid);
     Track &allocTrack(std::int64_t gid);
-    void foldTrack(const Track &t);
+    void foldTrack(const Track &t, FleetOutcome o, Seconds finish);
 
     void audit(Seconds now) const;
-    void auditTrack(std::size_t gid, const Track &t,
-                    std::size_t &live_legs,
-                    std::size_t &edge_legs) const;
     void auditStopIndex() const;
     FleetReport buildReport() const;
-    FleetReport buildStreamReport() const;
-    void fillNodeAndCost(FleetReport &r, std::size_t finished) const;
 
     FleetConfig cfg_;
     std::vector<std::unique_ptr<FleetNode>> nodes_;
@@ -440,13 +427,10 @@ class FleetSimulator
     /** Event count of the last checkpoint written (sentinel: none). */
     std::uint64_t lastCkptEvent_ = ~0ull;
 
-    const std::vector<engine::ServerRequest> *trace_ = nullptr;
-    std::size_t nextArrival_ = 0;
-
-    /** Next-stop-time index (cfg_.nodeIndex): one key per node —
-     *  clock while up and busy, +inf otherwise.  Derived state;
-     *  rebuilt on restore, cross-checked against the brute scan by
-     *  the paranoid auditor. */
+    /** Next-stop-time index: one key per node — clock while up and
+     *  busy, +inf otherwise.  Derived state; rebuilt on restore,
+     *  cross-checked against the brute scan by the paranoid
+     *  auditor. */
     NodeStopIndex stopIndex_;
     /** Reused lag buffer for syncNodesTo (was a per-round heap
      *  allocation). */
@@ -462,35 +446,33 @@ class FleetSimulator
      *  candidate filter for the lifetime of one views window. */
     std::uint64_t viewsGen_ = 0;
 
-    // Streaming-run state (runStream).
-    bool streaming_ = false;
-    bool approxStats_ = false;
+    // Arrival source and track pool.
     engine::TraceSource *src_ = nullptr;
-    std::size_t streamTotal_ = 0;
-    std::size_t streamIssued_ = 0; //!< arrivals drawn from src_
+    bool approxStats_ = false;
+    std::size_t srcTotal_ = 0;
+    std::size_t srcIssued_ = 0; //!< arrivals drawn from src_
     /** The one outstanding KArrival event's request (at most one
      *  arrival is ever in the heap). */
-    engine::ServerRequest streamPending_;
+    engine::ServerRequest srcPending_;
+    std::vector<Track> tracks_;
     std::unordered_map<std::int64_t, std::size_t> slotOf_;
     std::vector<std::size_t> freeSlots_;
-    // Folded terminal-track aggregates (buildStreamReport inputs).
+    // Folded terminal-track aggregates (buildReport inputs).
     std::size_t foldServed_ = 0, foldTimedOut_ = 0, foldShed_ = 0,
                 foldOffloaded_ = 0, foldDeadlineMet_ = 0;
     Seconds foldMakespan_ = 0.0;
-    /** Exact mode: (gid, latency) of finished requests, re-sorted by
-     *  gid at report time so FP sums match the materialized path. */
+    /** Exact mode: (gid, latency) of finished requests, appended in
+     *  completion order and sorted by gid once the run ends, so the
+     *  FP sum and the percentile inputs are in request order. */
     std::vector<std::pair<std::int64_t, double>> foldLat_;
     /** Approx mode: constant-space latency statistics. */
     P2Quantile latP50_{0.50}, latP99_{0.99}, latP999_{0.999};
     double latSum_ = 0.0;
     std::size_t latCount_ = 0;
 
-    std::vector<Track> tracks_;
     /** Per-node sets of live gids: the authority for leg liveness
      *  (stale outcome events are dropped against these). */
     std::vector<std::set<std::int64_t>> liveOnNode_;
-    /** Drained prefix of each node's served() vector. */
-    std::vector<std::size_t> drained_;
 
     // Health breaker state.
     std::vector<int> consecFailures_;

@@ -97,10 +97,7 @@ FleetNode::submit(const engine::ServerRequest &req, std::int64_t gid)
                  req.arrival < pending_.back().req.arrival,
              "fleet node ", id_, ": dispatch times must be monotone");
     const std::int64_t local = submitted_++;
-    if (streamLocals_)
-        gidOfLocal_.emplace(local, gid);
-    else
-        gidByLocal_.push_back(gid);
+    gidOfLocal_.emplace(local, gid);
     pending_.push_back({req, local});
     return local;
 }
@@ -221,9 +218,8 @@ FleetNode::cancel(std::int64_t local)
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
         if (it->local == local) {
             // A pending leg vanishes without a record, so no drain
-            // will ever consume its streaming mapping.
-            if (streamLocals_)
-                gidOfLocal_.erase(local);
+            // will ever consume its mapping.
+            gidOfLocal_.erase(local);
             pending_.erase(it);
             return true;
         }
@@ -242,20 +238,18 @@ FleetNode::crash()
     ++life_.crashes;
     up_ = false;
     pending_.clear();
-    if (streamLocals_) {
-        // Resident records (cancel echoes retired since the last
-        // drain) still need their local->gid mappings when the driver
-        // eventually drains them; every other mapping on this
-        // incarnation — pending or in flight — dies with the node
-        // (the driver fails those legs over).
-        std::unordered_map<std::int64_t, std::int64_t> keep;
-        for (const auto &rec : served_) {
-            const auto it = gidOfLocal_.find(rec.traceIndex);
-            if (it != gidOfLocal_.end())
-                keep.insert(*it);
-        }
-        gidOfLocal_.swap(keep);
+    // Undrained records (cancel echoes retired since the last drain)
+    // still need their local->gid mappings when the driver eventually
+    // drains them; every other mapping on this incarnation — pending
+    // or in flight — dies with the node (the driver fails those legs
+    // over).
+    std::unordered_map<std::int64_t, std::int64_t> keep;
+    for (const auto &rec : served_) {
+        const auto it = gidOfLocal_.find(rec.traceIndex);
+        if (it != gidOfLocal_.end())
+            keep.insert(*it);
     }
+    gidOfLocal_.swap(keep);
     exec_->setJournal(nullptr);
     journal_ = engine::Journal();
     exec_.reset();
@@ -274,30 +268,14 @@ FleetNode::reboot()
     openJournal();
 }
 
-std::int64_t
-FleetNode::gidForLocal(std::int64_t local) const
-{
-    panic_if(local < 0 ||
-                 local >= static_cast<std::int64_t>(gidByLocal_.size()),
-             "fleet node ", id_, ": unknown local index ", local);
-    return gidByLocal_[static_cast<std::size_t>(local)];
-}
+namespace {
 
-const engine::ServedRequest &
-FleetNode::servedAt(std::size_t abs) const
+/** Add @p recs' outcomes to @p c. */
+void
+tally(FleetNode::OutcomeCounts &c,
+      const std::vector<engine::ServedRequest> &recs)
 {
-    panic_if(abs < servedBase_ || abs - servedBase_ >= served_.size(),
-             "fleet node ", id_, ": served index ", abs,
-             " outside resident window [", servedBase_, ", ",
-             servedBase_ + served_.size(), ")");
-    return served_[abs - servedBase_];
-}
-
-FleetNode::OutcomeCounts
-FleetNode::outcomeCounts() const
-{
-    OutcomeCounts c = releasedCounts_;
-    for (const auto &rec : served_) {
+    for (const auto &rec : recs) {
         switch (rec.outcome) {
         case engine::RequestOutcome::Completed:
             ++c.served;
@@ -310,42 +288,23 @@ FleetNode::outcomeCounts() const
             break;
         }
     }
+}
+
+} // namespace
+
+FleetNode::OutcomeCounts
+FleetNode::outcomeCounts() const
+{
+    OutcomeCounts c = releasedCounts_;
+    tally(c, served_);
     return c;
 }
 
 void
-FleetNode::compactServed(std::size_t upto_abs)
+FleetNode::releaseDrained()
 {
-    if (upto_abs <= servedBase_)
-        return;
-    panic_if(upto_abs > servedEnd(), "fleet node ", id_,
-             ": compaction past the last record (", upto_abs, " > ",
-             servedEnd(), ")");
-    const std::size_t n = upto_abs - servedBase_;
-    for (std::size_t k = 0; k < n; ++k) {
-        switch (served_[k].outcome) {
-        case engine::RequestOutcome::Completed:
-            ++releasedCounts_.served;
-            break;
-        case engine::RequestOutcome::Cancelled:
-            ++releasedCounts_.cancelled;
-            break;
-        default:
-            ++releasedCounts_.timedOut;
-            break;
-        }
-    }
-    served_.erase(served_.begin(),
-                  served_.begin() + static_cast<std::ptrdiff_t>(n));
-    servedBase_ = upto_abs;
-}
-
-void
-FleetNode::setStreamLocals(bool on)
-{
-    panic_if(submitted_ != 0,
-             "setStreamLocals must precede the first submit");
-    streamLocals_ = on;
+    tally(releasedCounts_, served_);
+    served_.clear();
 }
 
 std::int64_t
@@ -353,7 +312,7 @@ FleetNode::consumeLocal(std::int64_t local)
 {
     const auto it = gidOfLocal_.find(local);
     panic_if(it == gidOfLocal_.end(), "fleet node ", id_,
-             ": unknown streaming local index ", local);
+             ": unknown local index ", local);
     const std::int64_t gid = it->second;
     gidOfLocal_.erase(it);
     return gid;
@@ -381,14 +340,17 @@ FleetNode::totals() const
 void
 FleetNode::serialize(ByteWriter &w) const
 {
-    panic_if(streamLocals_ || servedBase_ != 0,
-             "streaming fleet nodes are not checkpointable");
     w.u8(up_ ? 1 : 0);
     w.u64(incarnation_);
     w.i64(submitted_);
-    w.u64(gidByLocal_.size());
-    for (const std::int64_t gid : gidByLocal_)
+    std::vector<std::pair<std::int64_t, std::int64_t>> locals(
+        gidOfLocal_.begin(), gidOfLocal_.end());
+    std::sort(locals.begin(), locals.end());
+    w.u64(locals.size());
+    for (const auto &[local, gid] : locals) {
+        w.i64(local);
         w.i64(gid);
+    }
     w.u64(pending_.size());
     for (const Pending &p : pending_) {
         engine::serialize(w, p.req);
@@ -398,6 +360,9 @@ FleetNode::serialize(ByteWriter &w) const
     w.f64(life_.busy);
     w.f64(life_.generatedTokens);
     w.u64(life_.crashes);
+    w.u64(releasedCounts_.served);
+    w.u64(releasedCounts_.timedOut);
+    w.u64(releasedCounts_.cancelled);
     w.u64(served_.size());
     for (const auto &rec : served_)
         engine::serialize(w, rec);
@@ -415,9 +380,16 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
     up_ = r.u8() != 0;
     incarnation_ = r.u64();
     submitted_ = r.i64();
-    gidByLocal_.resize(r.u64());
-    for (std::int64_t &gid : gidByLocal_)
-        gid = r.i64();
+    gidOfLocal_.clear();
+    const std::uint64_t nlocals = r.u64();
+    for (std::uint64_t i = 0; i < nlocals; ++i) {
+        const std::int64_t local = r.i64();
+        const std::int64_t gid = r.i64();
+        fatal_if(local < 0 || local >= submitted_ ||
+                     !gidOfLocal_.emplace(local, gid).second,
+                 "fleet node ", id_, " checkpoint: local index ", local,
+                 " is out of range or duplicated");
+    }
     pending_.clear();
     const std::uint64_t npending = r.u64();
     for (std::uint64_t i = 0; i < npending; ++i) {
@@ -430,6 +402,9 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
     life_.busy = r.f64();
     life_.generatedTokens = r.f64();
     life_.crashes = r.u64();
+    releasedCounts_.served = static_cast<std::size_t>(r.u64());
+    releasedCounts_.timedOut = static_cast<std::size_t>(r.u64());
+    releasedCounts_.cancelled = static_cast<std::size_t>(r.u64());
     served_.clear();
     served_.resize(r.u64());
     for (auto &rec : served_)

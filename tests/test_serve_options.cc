@@ -139,6 +139,10 @@ TEST(ServeOptions, RejectsUnknownAndMalformedTokens)
     EXPECT_NE(err.find("unexpected argument"), std::string::npos);
     EXPECT_FALSE(parse({"--degrade", "sometimes"}, &err).has_value());
     EXPECT_NE(err.find("--degrade"), std::string::npos);
+    // The retired legacy fleet driver's switch is an unknown flag.
+    EXPECT_FALSE(parse({"--fleet", "4", "--fleet-index", "off"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("--fleet-index"), std::string::npos);
 }
 
 TEST(ServeOptions, BooleanFlagsDoNotConsumeValues)
