@@ -162,7 +162,6 @@ parseServeOptions(const std::vector<std::string> &args,
         {"crash-rate", doubleOpt(&opt.crashRate, 0.0, "--crash-rate")},
         {"replications",
          longOpt(&opt.replications, 1, "--replications")},
-        {"shards", longOpt(&opt.shards, 1, "--shards")},
         {"fleet", longOpt(&opt.fleet, 1, "--fleet")},
         {"router", [&](const std::string &v) {
              const auto p = fleet::routerPolicyFromName(v);
@@ -364,9 +363,6 @@ parseServeOptions(const std::vector<std::string> &args,
             return fail("--replications > 1 excludes "
                         "--degrade fallback (per-run fallback "
                         "engine)");
-    } else if (opt.shards > 1) {
-        return fail("--shards needs --replications > 1 (nothing to "
-                    "shard over)");
     }
     if (opt.fleet >= 1) {
         // The fleet path owns faults and routing itself; per-run

@@ -103,15 +103,14 @@ struct ServeOptions
     // --- Sharded replications (DESIGN.md §11) ----------------------
     /**
      * Number of independent trace replications to simulate.  > 1
-     * switches `serve` to runSharded(): each replication draws its
-     * trace from its own named RngBank stream, so the set — and every
-     * report — is identical at any shard/thread count.  Sharded mode
-     * is trace-parallel only; it excludes fault plans, durability,
-     * and the fallback engine (those attach to a single run).
+     * switches `serve` to runSharded() with one work chunk per
+     * replication: each replication draws its trace from its own
+     * named RngBank stream, so the set — and every report — is
+     * identical at any thread count.  Sharded mode is trace-parallel
+     * only; it excludes fault plans, durability, and the fallback
+     * engine (those attach to a single run).
      */
     long long replications = 1;
-    /** Work-chunk count for runSharded (0 = one shard per trace). */
-    long long shards = 0;
 
     // --- Fleet serving (DESIGN.md §12, §14) ------------------------
     /**

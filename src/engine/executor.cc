@@ -115,6 +115,29 @@ BatchExecutor::syncPrefixEvictions()
         acc_.prefixEvictions = paged_->prefixStats().evictions;
 }
 
+void
+BatchExecutor::enqueueArrival(ServingState &st, const TrackedRequest &t)
+{
+    st.haveDeadlines = st.haveDeadlines || t.req.deadline > 0.0;
+    st.enqueueNew(t);
+    if (journal_)
+        journal_->emitArrival(t, st.queue.size());
+}
+
+void
+BatchExecutor::latchSlowdown()
+{
+    if (slowdowns_ == nullptr)
+        return;
+    speedScale_ = 1.0;
+    for (const SlowdownWindow &w : *slowdowns_) {
+        if (acc_.clock < w.start)
+            break; // sorted, non-overlapping
+        if (acc_.clock < w.start + w.duration)
+            speedScale_ = w.multiplier;
+    }
+}
+
 double
 BatchExecutor::speedNow() const
 {

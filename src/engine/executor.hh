@@ -3,12 +3,15 @@
  * The execution layer of the serving stack.  BatchExecutor owns
  * everything below admission ordering: the simulated clock and
  * energy/thermal integration, KV reservation (scalar watermark on
- * ideal runs, paged KvCache with preemption under an active fault
- * plan), chunked prefill, step-synchronous decode, fault-event
- * application, and the per-request outcome records.  The scheduler
- * (engine/scheduler.hh) only decides *which* queued request is
- * admitted next; the arrival pump (ServingSimulator::run) only decides
- * *when* the executor runs.
+ * ideal runs; a paged KvCache, with preemption, under an active fault
+ * plan or with the prefix cache on), chunked prefill, step-synchronous
+ * decode, fault-event application, gray-failure slowdown, the
+ * per-request outcome records, and the one scheduling cycle that
+ * sequences them (cycle()).  The scheduler (engine/scheduler.hh) only
+ * decides *which* queued request is admitted next; the callers of
+ * cycle() — ServingSimulator::run over a whole trace, and
+ * FleetNode::advanceUntil up to a fleet sync target — only decide
+ * *when* a cycle runs and where the arrivals come from.
  *
  * One executor instance drives one run: all accumulators start at
  * zero and report() snapshots them into a ServingReport.
@@ -17,6 +20,7 @@
 #ifndef EDGEREASON_ENGINE_EXECUTOR_HH
 #define EDGEREASON_ENGINE_EXECUTOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -202,6 +206,28 @@ class BatchExecutor
     /** Restore serialize() output; fatal() on a mode mismatch. */
     void restore(ByteReader &r);
 
+    /**
+     * One scheduling cycle, the single loop body of the serving stack
+     * (DESIGN.md §8).  In order: pull due arrivals, apply due fault
+     * events, idle to the next arrival when nothing is queued or in
+     * flight, latch the gray-failure slowdown from the (post-jump)
+     * clock, shed expired queued requests, latch degradation, admit;
+     * then either sleep while the queue is gated, or run one prefill
+     * chunk, abort expired prefills, and decode one exact step or one
+     * macro segment.
+     *
+     * @p arrivals yields the caller's not-yet-queued requests in
+     * arrival order through `Seconds nextArrival() const` (+inf once
+     * exhausted) and `TrackedRequest pop()` (the front request, its
+     * traceIndex set).  Sleeps and macro segments stop at the next
+     * arrival or @p target (+inf for a whole-trace run), whichever is
+     * earlier; a sleep bound that is already due ends the cycle
+     * instead, and the next cycle pulls the arrival.
+     */
+    template <class Arrivals>
+    void cycle(ServingState &st, const Scheduler &sched,
+               Arrivals &arrivals, Seconds target);
+
     /** Jump the clock to @p t with the device idle (thermal cooling
      *  integrates on the way; exact assignment keeps idle jumps
      *  bit-stable). */
@@ -252,11 +278,10 @@ class BatchExecutor
      * next arrival (@p next_arrival, +inf when the trace is
      * exhausted), the next fault event, the earliest completion or
      * deadline expiry, a retry gate opening, a thermal-latch flip, or
-     * @p horizon_cap steps (0 = unbounded; durable runs pass the
-     * checkpoint cadence).  Each fast-forwarded step performs the
-     * same arithmetic in the same order as decodeStep(), so every
-     * accumulator and report field is bit-identical to the exact
-     * loop; what the segment skips is the per-step scheduler
+     * @p horizon_cap steps (0 = unbounded).  Each fast-forwarded step
+     * performs the same arithmetic in the same order as decodeStep(),
+     * so every accumulator and report field is bit-identical to the
+     * exact loop; what the segment skips is the per-step scheduler
      * machinery and journal traffic (one coalesced Step record per
      * segment).  Retirement happens at the horizon, where it is
      * equivalent: the horizon never extends past the earliest
@@ -294,21 +319,19 @@ class BatchExecutor
     }
 
     /**
-     * Externally imposed gray-failure speed scale: every busy work
-     * quantum costs @p scale× its nominal wall time (energy follows —
-     * the device is alive and burning for the whole stretch).  The
-     * fleet layer drives this from a node's SlowdownWindow schedule as
-     * a pure function of the executor clock, so it is derived state:
-     * never serialized, recomputed after restore.  Deliberately
-     * invisible to the deadline-admission service estimates — a gray
-     * node keeps optimistically accepting work it will run slowly,
-     * which is exactly what makes gray failures hard to catch.
-     * 1.0 (the default) is the bit-identical legacy path.
+     * Install a gray-failure schedule (borrowed; sorted,
+     * non-overlapping).  Each cycle latches the multiplier of the
+     * window covering the clock — derived state, never serialized —
+     * and every busy work quantum then costs that multiple of its
+     * nominal wall time (energy follows).  Deliberately invisible to
+     * the deadline-admission estimates: a gray node keeps accepting
+     * work it will run slowly, which is what makes gray failures hard
+     * to catch.
      */
-    void setSpeedScale(double scale) { speedScale_ = scale; }
-
-    /** @return the gray-failure speed scale in force. */
-    double speedScale() const { return speedScale_; }
+    void setSlowdowns(const std::vector<SlowdownWindow> *windows)
+    {
+        slowdowns_ = windows;
+    }
 
     /** Snapshot the run's aggregate metrics. */
     ServingReport report(Seconds first_arrival,
@@ -316,6 +339,10 @@ class BatchExecutor
                          const ServingState &st) const;
 
   private:
+    /** Queue (and journal) one arrival pulled by cycle(). */
+    void enqueueArrival(ServingState &st, const TrackedRequest &t);
+    /** Latch the slowdown multiplier in force at the clock. */
+    void latchSlowdown();
     double speedNow() const;
     Seconds advanceWork(Seconds base_dt, Watts maxn_power);
     Seconds stepLatency(const InferenceEngine &eng, Tokens ctx,
@@ -355,13 +382,15 @@ class BatchExecutor
 
     bool faulty_ = false;
     bool thermalOn_ = false;
+    const std::vector<SlowdownWindow> *slowdowns_ = nullptr;
     double speedScale_ = 1.0;
     double kvBudget_ = 0.0;
     double kvPerToken_ = 0.0;
     Watts idleW_ = 0.0;
 
-    /** Paged KV pool + ballast sequence (active fault plans only; see
-     *  the KV-shrink notes in engine/faults.hh). */
+    /** Paged KV pool + ballast sequence: built under an active fault
+     *  plan (see the KV-shrink notes in engine/faults.hh) or with the
+     *  prefix cache on (shared pages need physical blocks). */
     std::unique_ptr<KvCache> paged_;
     SeqId ballast_ = 0;
     hw::ThermalSimulator thermal_;
@@ -394,6 +423,49 @@ class BatchExecutor
      *  on the exact (cached prefix, chunk) pair. */
     OpenHashMap<ChunkKey, Seconds> chunkCache_;
 };
+
+template <class Arrivals>
+void
+BatchExecutor::cycle(ServingState &st, const Scheduler &sched,
+                     Arrivals &arrivals, Seconds target)
+{
+    const auto pull_and_pump = [&]() {
+        while (arrivals.nextArrival() <= acc_.clock + kTimeSlack)
+            enqueueArrival(st, arrivals.pop());
+        pumpEvents(st);
+    };
+    pull_and_pump();
+    if (st.queue.empty() && !st.hasInFlight() &&
+        arrivals.nextArrival() < std::numeric_limits<Seconds>::infinity()) {
+        idleTo(arrivals.nextArrival());
+        pull_and_pump();
+    }
+    latchSlowdown();
+    if (st.haveDeadlines)
+        shedExpiredQueued(st);
+    beginCycle();
+    admit(st, sched);
+
+    const Seconds bound = std::min(arrivals.nextArrival(), target);
+    if (!st.hasInFlight()) {
+        // Nothing in flight: with a gated queue (retry backoff or a
+        // shrunken KV pool) sleep to the next wake-up.  A bound already
+        // due — a brownout pumped above can carry the clock past an
+        // unpulled arrival — has nothing to sleep towards.
+        if (!st.queue.empty() && bound > acc_.clock + kTimeSlack)
+            sleepUntilWake(st, bound);
+        return;
+    }
+    prefillStep(st);
+    if (st.haveDeadlines)
+        abortExpiredPrefills(st);
+    if (st.active.empty())
+        return;
+    if (config_.exactSteps)
+        decodeStep(st);
+    else
+        decodeSteps(st, bound, config_.macroHorizonCap);
+}
 
 } // namespace engine
 } // namespace edgereason

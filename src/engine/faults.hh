@@ -56,6 +56,23 @@ struct FaultEvent
 };
 
 /**
+ * One gray-failure window: on [start, start + duration) every unit of
+ * device work costs @p multiplier× its nominal time — the device stays
+ * up, answers health probes, accepts work, and is simply slow (the
+ * thermally-wedged-but-alive Jetson).  Fleet nodes draw these per node
+ * (fleet/node_faults.hh); the executor latches the scale once per
+ * scheduling cycle from its clock.  Neither the fail-stop crash
+ * machinery nor the consecutive-failure breaker sees these windows;
+ * only latency-based (quantile-adaptive) health can.
+ */
+struct SlowdownWindow
+{
+    Seconds start = 0.0;
+    Seconds duration = 0.0;
+    double multiplier = 1.0; //!< step-cost factor, > 1 slows the node
+};
+
+/**
  * Process-death schedule for crash-safety testing.  A crash is not a
  * FaultEvent: fault events change simulator behaviour (and therefore the
  * run's results), whereas a crash only decides *when the process dies* —

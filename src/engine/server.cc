@@ -237,6 +237,31 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
     return run(trace, faults, DurabilityOptions{});
 }
 
+namespace {
+
+/** The cycle's arrival source over a whole trace: trace index =
+ *  position; the cursor is the checkpointed arrival count. */
+struct TraceArrivals
+{
+    const std::vector<ServerRequest> &trace;
+    std::size_t next = 0;
+    Seconds nextArrival() const
+    {
+        return next < trace.size()
+            ? trace[next].arrival
+            : std::numeric_limits<Seconds>::infinity();
+    }
+    TrackedRequest pop()
+    {
+        TrackedRequest r;
+        r.req = trace[next];
+        r.traceIndex = static_cast<std::int64_t>(next++);
+        return r;
+    }
+};
+
+} // namespace
+
 ServingReport
 ServingSimulator::run(const std::vector<ServerRequest> &trace,
                       const FaultPlan &faults,
@@ -270,7 +295,7 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
         : std::string();
 
     // --- Resume: latest checkpoint + journal tail -------------------
-    std::size_t next_arrival = 0;
+    TraceArrivals arrivals{trace};
     std::uint64_t step = 0;
     std::uint64_t restoredStep = 0;
     bool resumed = false;
@@ -296,9 +321,9 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
             engine::restore(r, s);
             served_.push_back(std::move(s));
         }
-        next_arrival = static_cast<std::size_t>(r.u64());
-        fatal_if(next_arrival > trace.size(),
-                 "checkpoint arrival cursor ", next_arrival,
+        arrivals.next = static_cast<std::size_t>(r.u64());
+        fatal_if(arrivals.next > trace.size(),
+                 "checkpoint arrival cursor ", arrivals.next,
                  " exceeds trace size ", trace.size());
         exec.restore(r);
         if (r.u8() != 0) {
@@ -338,39 +363,17 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
            crashTimes[crashCursor] <= exec.clock())
         ++crashCursor;
 
-    // Macro-stepping horizon cap: only the user-configured cap is
-    // applied.  Durability must NOT shorten segments: the deferred
-    // energy sums are grouped per bucket-run, so a durable-only cap
-    // would regroup them and break the bit-identity between durable
-    // and plain runs (DESIGN.md §9).  Checkpoint marks and
-    // crash-at-step triggers fire at cycle boundaries, which are
-    // identical in both modes; checkpointEvery counts cycles (one
-    // macro segment each), not decode steps.
-    const std::uint64_t macroCap = config_.macroHorizonCap;
-
     Auditor auditor;
     const auto audit = [&]() {
         if (dur.paranoid)
             auditor.check(
-                exec.auditView(st, trace.size(), next_arrival));
+                exec.auditView(st, trace.size(), arrivals.next));
     };
 
-    const auto pull_arrivals = [&]() {
-        while (next_arrival < trace.size() &&
-               trace[next_arrival].arrival <=
-                   exec.clock() + kTimeSlack) {
-            TrackedRequest r;
-            r.req = trace[next_arrival];
-            r.traceIndex = static_cast<std::int64_t>(next_arrival);
-            st.enqueueNew(r);
-            if (journal.active())
-                journal.emitArrival(r, st.queue.size());
-            ++next_arrival;
-        }
-    };
-
+    // checkpointEvery and crash-at-step count cycles (one macro
+    // segment each), not decode steps.
     while (!st.queue.empty() || st.hasInFlight() ||
-           next_arrival < trace.size()) {
+           arrivals.next < trace.size()) {
         // --- Batch-step boundary: audit, checkpoint, crash ----------
         audit();
         const bool ckptDue = durable &&
@@ -386,7 +389,7 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
             w.u64(served_.size());
             for (const auto &s : served_)
                 engine::serialize(w, s);
-            w.u64(next_arrival);
+            w.u64(arrivals.next);
             exec.serialize(w);
             if (dur.rngBank != nullptr) {
                 w.u8(1);
@@ -415,51 +418,8 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
                                      exec.clock());
         }
         ++step;
-
-        pull_arrivals();
-        exec.pumpEvents(st);
-
-        if (st.queue.empty() && !st.hasInFlight() &&
-            next_arrival < trace.size()) {
-            // Idle until the next arrival.
-            exec.idleTo(trace[next_arrival].arrival);
-            pull_arrivals();
-            exec.pumpEvents(st);
-        }
-
-        if (st.haveDeadlines)
-            exec.shedExpiredQueued(st);
-
-        exec.beginCycle();
-        exec.admit(st, *scheduler_);
-
-        // All in-flight work drained but the queue is gated (retry
-        // backoff or a shrunken KV pool): sleep to the next wake-up.
-        if (!st.hasInFlight()) {
-            if (st.queue.empty())
-                continue; // outer loop idles to the next arrival
-            exec.sleepUntilWake(
-                st, next_arrival < trace.size()
-                        ? trace[next_arrival].arrival
-                        : std::numeric_limits<Seconds>::infinity());
-            continue;
-        }
-
-        exec.prefillStep(st);
-        if (st.haveDeadlines)
-            exec.abortExpiredPrefills(st);
-        if (st.active.empty())
-            continue;
-        if (config_.exactSteps) {
-            exec.decodeStep(st);
-        } else {
-            exec.decodeSteps(
-                st,
-                next_arrival < trace.size()
-                    ? trace[next_arrival].arrival
-                    : std::numeric_limits<Seconds>::infinity(),
-                macroCap);
-        }
+        exec.cycle(st, *scheduler_, arrivals,
+                   std::numeric_limits<Seconds>::infinity());
     }
 
     audit();

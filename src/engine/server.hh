@@ -212,9 +212,12 @@ struct ServerConfig
     bool exactSteps = false;
     /**
      * Upper bound on decode steps fast-forwarded per macro segment
-     * (0 = unbounded).  Durable runs additionally cap segments at
-     * the checkpoint cadence so checkpoint marks stay an event
-     * horizon boundary.
+     * (0 = unbounded).  Durability never shortens segments: the
+     * deferred energy sums are grouped per bucket-run, so a
+     * durable-only cap would regroup them and break the bit-identity
+     * of durable and plain runs (DESIGN.md §9).  Checkpoint marks and
+     * crash-at-step triggers fire at cycle boundaries, which are the
+     * same in both modes.
      */
     std::uint64_t macroHorizonCap = 0;
     /**

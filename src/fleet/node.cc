@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 
 #include "common/logging.hh"
 #include "model/calibration.hh"
@@ -35,8 +36,15 @@ FleetNode::FleetNode(int id, const NodeSpec &spec,
                                             : DType::FP16),
         ec);
     scheduler_ = engine::makeScheduler(cfg_.scheduler);
+    startExecutor();
+}
+
+void
+FleetNode::startExecutor()
+{
     exec_ = std::make_unique<engine::BatchExecutor>(
         *engine_, nullptr, cfg_, faults_, served_);
+    exec_->setSlowdowns(&slowdowns_);
 }
 
 void
@@ -102,43 +110,21 @@ FleetNode::submit(const engine::ServerRequest &req, std::int64_t gid)
     return local;
 }
 
-void
-FleetNode::pullArrivals()
-{
-    while (!pending_.empty() &&
-           pending_.front().req.arrival <= exec_->clock() + kTimeSlack) {
-        engine::TrackedRequest t;
-        t.req = pending_.front().req;
-        t.traceIndex = pending_.front().local;
-        st_.haveDeadlines =
-            st_.haveDeadlines || t.req.deadline > 0.0;
-        const engine::ReqId id = st_.enqueueNew(t);
-        (void)id;
-        if (journal_.active())
-            journal_.emitArrival(t, st_.queue.size());
-        pending_.pop_front();
-    }
-}
-
 Seconds
-FleetNode::nextPendingArrival() const
+FleetNode::PendingArrivals::nextArrival() const
 {
-    return pending_.empty()
-        ? std::numeric_limits<Seconds>::infinity()
-        : pending_.front().req.arrival;
+    return q.empty() ? std::numeric_limits<Seconds>::infinity()
+                     : q.front().req.arrival;
 }
 
-double
-FleetNode::slowdownScaleAt(Seconds t) const
+engine::TrackedRequest
+FleetNode::PendingArrivals::pop()
 {
-    // Windows are sorted and non-overlapping.
-    for (const SlowdownWindow &w : slowdowns_) {
-        if (t < w.start)
-            break;
-        if (t < w.start + w.duration)
-            return w.multiplier;
-    }
-    return 1.0;
+    engine::TrackedRequest t;
+    t.req = q.front().req;
+    t.traceIndex = q.front().local;
+    q.pop_front();
+    return t;
 }
 
 void
@@ -146,65 +132,10 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
 {
     if (!up_)
         return;
+    PendingArrivals arrivals{pending_};
     while (busy() && exec_->clock() + kTimeSlack < target) {
         const std::size_t before = served_.size();
-
-        pullArrivals();
-        exec_->pumpEvents(st_);
-
-        if (st_.queue.empty() && !st_.hasInFlight()) {
-            // Idle until the next dispatched arrival.  busy() above
-            // guarantees pending_ is non-empty here, and pullArrivals
-            // left only strictly-future arrivals.
-            exec_->idleTo(pending_.front().req.arrival);
-            pullArrivals();
-            exec_->pumpEvents(st_);
-        }
-
-        // Gray-failure latch: pick the slowdown scale for this cycle
-        // from the post-idle-jump clock.  A zero-window node never
-        // touches the executor (setSpeedScale(1.0) included), keeping
-        // the legacy fast path and bit-identity untouched.
-        if (!slowdowns_.empty())
-            exec_->setSpeedScale(slowdownScaleAt(exec_->clock()));
-
-        if (st_.haveDeadlines)
-            exec_->shedExpiredQueued(st_);
-
-        exec_->beginCycle();
-        exec_->admit(st_, *scheduler_);
-
-        if (!st_.hasInFlight()) {
-            if (st_.queue.empty()) {
-                // Everything drained this cycle (e.g. expired-queue
-                // shed); re-evaluate busy() at the top.
-                if (stop_on_outcome && served_.size() > before)
-                    return;
-                continue;
-            }
-            // Queue fully gated (retry backoff / shrunken KV): sleep
-            // to the next wake-up, never past the sync target.
-            const Seconds bound =
-                std::min(nextPendingArrival(), target);
-            if (bound <= exec_->clock() + kTimeSlack)
-                return; // at the target; the driver re-syncs
-            exec_->sleepUntilWake(st_, bound);
-            if (stop_on_outcome && served_.size() > before)
-                return;
-            continue;
-        }
-
-        exec_->prefillStep(st_);
-        if (st_.haveDeadlines)
-            exec_->abortExpiredPrefills(st_);
-        if (!st_.active.empty()) {
-            if (cfg_.exactSteps)
-                exec_->decodeStep(st_);
-            else
-                exec_->decodeSteps(
-                    st_, std::min(nextPendingArrival(), target),
-                    cfg_.macroHorizonCap);
-        }
+        exec_->cycle(st_, *scheduler_, arrivals, target);
         if (stop_on_outcome && served_.size() > before)
             return;
     }
@@ -262,8 +193,7 @@ FleetNode::reboot()
     panic_if(up_, "reboot of a live fleet node ", id_);
     ++incarnation_;
     st_ = engine::ServingState();
-    exec_ = std::make_unique<engine::BatchExecutor>(
-        *engine_, nullptr, cfg_, faults_, served_);
+    startExecutor();
     up_ = true;
     openJournal();
 }
@@ -413,8 +343,7 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
         scheduler_->verifyMatches(r);
         st_ = engine::ServingState();
         st_.restore(r);
-        exec_ = std::make_unique<engine::BatchExecutor>(
-            *engine_, nullptr, cfg_, faults_, served_);
+        startExecutor();
         exec_->restore(r);
         if (!journalDir_.empty()) {
             journal_ = engine::Journal::resumeAt(

@@ -10,9 +10,10 @@
  *
  * The node's execution is a pure function of its submission sequence:
  * every request is identified by a node-local trace index (a monotone
- * submit counter) mapped to the fleet-global id, and the internal loop
- * mirrors the single-node arrival pump cycle for cycle, so per-node
- * arithmetic is bit-identical however the driver chunks its
+ * submit counter) mapped to the fleet-global id, and advanceUntil()
+ * runs the same BatchExecutor::cycle() as ServingSimulator::run — a
+ * node fed a whole trace retires exactly the single-node records — so
+ * per-node arithmetic is bit-identical however the driver chunks its
  * advanceUntil() calls and whatever thread advances it.
  *
  * Crash/reboot: crash() discards the executor, scheduling state, and
@@ -92,12 +93,12 @@ class FleetNode
 
     /**
      * Install the node's gray-failure schedule: inside a window every
-     * unit of device work costs multiplier× its nominal time.  The
-     * scale is latched once per scheduling cycle from the executor
-     * clock (derived state: recomputed, never serialized).  Must be
-     * called before the first advanceUntil.
+     * unit of device work costs multiplier× its nominal time.  Every
+     * executor incarnation latches the scale once per scheduling cycle
+     * from its clock (BatchExecutor::setSlowdowns).  Must be called
+     * before the first advanceUntil.
      */
-    void setSlowdowns(std::vector<SlowdownWindow> windows)
+    void setSlowdowns(std::vector<engine::SlowdownWindow> windows)
     {
         slowdowns_ = std::move(windows);
     }
@@ -248,12 +249,21 @@ class FleetNode
         std::int64_t local = -1;
     };
 
-    void pullArrivals();
-    Seconds nextPendingArrival() const;
+    /** The executor cycle's arrival source: the dispatched legs not
+     *  yet queued, trace index = node-local index. */
+    struct PendingArrivals
+    {
+        std::deque<Pending> &q;
+        Seconds nextArrival() const;
+        engine::TrackedRequest pop();
+    };
+
+    /** Start a fresh executor incarnation wired to this node's
+     *  gray-failure schedule. */
+    void startExecutor();
     void openJournal();
     std::string journalPath() const;
     std::uint64_t journalFingerprint() const;
-    double slowdownScaleAt(Seconds t) const;
 
     int id_;
     NodeSpec spec_;
@@ -268,7 +278,7 @@ class FleetNode
     engine::Journal journal_;
 
     std::deque<Pending> pending_;
-    std::vector<SlowdownWindow> slowdowns_;
+    std::vector<engine::SlowdownWindow> slowdowns_;
     std::int64_t submitted_ = 0;
     bool up_ = true;
     std::uint64_t incarnation_ = 0;

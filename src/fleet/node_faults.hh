@@ -53,22 +53,6 @@ struct DegradeWindow
     Seconds duration = 0.0;
 };
 
-/**
- * One gray-failure window: on [start, start + duration) every unit of
- * device work on the node costs @p multiplier× its nominal time —
- * the node stays up, answers health probes, accepts dispatches, and
- * is simply slow (the thermally-wedged-but-alive Jetson).  Neither
- * the fail-stop crash machinery nor the consecutive-failure breaker
- * sees these windows; only latency-based (quantile-adaptive) health
- * can.
- */
-struct SlowdownWindow
-{
-    Seconds start = 0.0;
-    Seconds duration = 0.0;
-    double multiplier = 1.0; //!< step-cost factor, > 1 slows the node
-};
-
 /** Fleet fault-injection parameters (shared by every node; each node
  *  draws its own schedule from node-scoped streams). */
 struct NodeFaultConfig
@@ -122,7 +106,9 @@ struct NodeFaultSchedule
 {
     std::vector<NodeCrashEvent> crashes;   //!< sorted by time
     std::vector<DegradeWindow> degrades;   //!< sorted, non-overlapping
-    std::vector<SlowdownWindow> slowdowns; //!< sorted, non-overlapping
+    /** Gray-failure windows (engine/faults.hh); sorted,
+     *  non-overlapping. */
+    std::vector<engine::SlowdownWindow> slowdowns;
     std::vector<DegradeWindow> flaps;      //!< sorted, non-overlapping
     engine::FaultPlan behavioural;         //!< node-scoped streams
 };

@@ -5,8 +5,10 @@
  * %.17g formatFleetReport string), thread-count bit-identity,
  * hedging cancel-on-first-win, failover conservation under a forced
  * node crash, graceful drain, per-try timeouts with retry, the
- * cloud-offload tier, and the deadline/cost routers' grouped service
- * estimates against a per-candidate oracle.
+ * cloud-offload tier, the deadline/cost routers' grouped service
+ * estimates against a per-candidate oracle, and node-vs-server
+ * equivalence (a FleetNode fed a whole trace retires exactly the
+ * records ServingSimulator::run does).
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +23,16 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "engine/engine.hh"
+#include "engine/faults.hh"
 #include "engine/server.hh"
 #include "fleet/fleet.hh"
+#include "fleet/node.hh"
 #include "fleet/node_faults.hh"
 #include "hw/gpu_spec.hh"
+#include "model/calibration.hh"
 #include "model/model_id.hh"
+#include "model/zoo.hh"
 
 namespace er = edgereason;
 using namespace er::fleet;
@@ -775,6 +782,144 @@ TEST(FleetRouterOracle, OneEstimatePerGroupPerDispatch)
             EXPECT_EQ(memoMisses(nodes) - before, 2u);
         }
     }
+}
+
+// --- One scheduling cycle: a fleet node is a single-node server -----
+
+void
+expectSameRecord(const er::engine::ServedRequest &a,
+                 const er::engine::ServedRequest &b)
+{
+    EXPECT_EQ(a.request.arrival, b.request.arrival);
+    EXPECT_EQ(a.request.inputTokens, b.request.inputTokens);
+    EXPECT_EQ(a.request.outputTokens, b.request.outputTokens);
+    EXPECT_EQ(a.request.priority, b.request.priority);
+    EXPECT_EQ(a.request.deadline, b.request.deadline);
+    EXPECT_EQ(a.request.sessionId, b.request.sessionId);
+    EXPECT_EQ(a.request.prefixHashes, b.request.prefixHashes);
+    EXPECT_EQ(a.outcome, b.outcome);
+    EXPECT_EQ(a.queueDelay, b.queueDelay);
+    EXPECT_EQ(a.serviceTime, b.serviceTime);
+    EXPECT_EQ(a.finish, b.finish);
+    EXPECT_EQ(a.generated, b.generated);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.degraded, b.degraded);
+    EXPECT_EQ(a.traceIndex, b.traceIndex);
+    EXPECT_EQ(a.cachedPrefix, b.cachedPrefix);
+    EXPECT_EQ(a.firstToken, b.firstToken);
+}
+
+/**
+ * Serve @p trace once through ServingSimulator::run and once through
+ * a FleetNode fed the whole trace up front (gid = index) and advanced
+ * until idle; both drive the same executor cycle, so the retired
+ * records, lifetime energy and token totals must match exactly.
+ */
+void
+expectNodeMatchesServer(const er::engine::ServerConfig &cfg,
+                        const std::vector<ServerRequest> &trace,
+                        const er::engine::FaultPlan &plan)
+{
+    const NodeSpec spec{er::model::ModelId::DeepScaleR1_5B};
+    er::engine::EngineConfig ec;
+    ec.powerMode = spec.powerMode;
+    er::engine::InferenceEngine eng(er::model::spec(spec.model),
+                                    er::model::calibration(spec.model),
+                                    ec);
+    ServingSimulator sim(eng, cfg);
+    const auto rep = sim.run(trace, plan);
+
+    FleetNode node(0, spec, cfg, plan);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        node.submit(trace[i], static_cast<std::int64_t>(i));
+    while (node.busy())
+        node.advanceUntil(kInf, false);
+
+    const auto &want = sim.served();
+    const auto &got = node.undrained();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("record " + std::to_string(i));
+        expectSameRecord(got[i], want[i]);
+    }
+    const NodeTotals t = node.totals();
+    EXPECT_EQ(t.energy, rep.totalEnergy);
+    EXPECT_EQ(t.generatedTokens, rep.generatedTokens);
+}
+
+TEST(NodeServerEquivalence, MatrixRetiresIdenticalRecords)
+{
+    er::engine::FaultConfig fc;
+    fc.seed = 0x5EED;
+    fc.horizon = 600.0;
+    fc.thermal = true;
+    fc.thermalSpec.ambientC = 40.0;
+    fc.thermalSpec.rThermal = 3.5;
+    fc.thermalSpec.cThermal = 40.0;
+    fc.brownoutsPerHour = 120.0;
+    fc.kvShrinksPerHour = 60.0;
+    fc.kvShrinkFraction = 0.997;
+    fc.kvShrinkDuration = 30.0;
+    const er::engine::FaultPlan faulty(fc);
+
+    er::Rng rng(11, "node-server-equivalence");
+    const auto base =
+        ServingSimulator::poissonTrace(rng, 48, 1.0, 400, 900);
+    int cases = 0;
+    for (const bool exact : {false, true})
+        for (const bool faults : {false, true})
+            for (const auto sched : {er::engine::SchedulerPolicy::Fcfs,
+                                     er::engine::SchedulerPolicy::Edf})
+                for (const er::Tokens chunk : {0, 256})
+                    for (const er::Seconds deadline : {0.0, 90.0})
+                        for (const bool budget : {false, true}) {
+                            er::engine::ServerConfig cfg;
+                            cfg.maxBatch = 6;
+                            cfg.exactSteps = exact;
+                            cfg.scheduler = sched;
+                            cfg.prefillChunk = chunk;
+                            if (budget) {
+                                cfg.degrade.mode =
+                                    er::engine::DegradeMode::Budget;
+                            }
+                            auto trace = base;
+                            for (auto &r : trace)
+                                r.deadline = deadline;
+                            SCOPED_TRACE(
+                                std::string(exact ? "exact" : "macro") +
+                                (faults ? " faults " : " clean ") +
+                                er::engine::schedulerPolicyName(sched) +
+                                " chunk " + std::to_string(chunk) +
+                                " deadline " + std::to_string(deadline) +
+                                (budget ? " budget" : " none"));
+                            expectNodeMatchesServer(
+                                cfg, trace,
+                                faults ? faulty : er::engine::FaultPlan());
+                            ++cases;
+                        }
+    EXPECT_EQ(cases, 64);
+}
+
+TEST(NodeServerEquivalence, NearTotalKvShrinkDoesNotDeadlock)
+{
+    // A brownout applied by the cycle's event pump can carry the clock
+    // past the next unpulled arrival while a near-total KV shrink
+    // leaves every queued request inadmissible: the cycle must end
+    // and pull that arrival, not sleep towards an instant already
+    // behind the clock.
+    er::engine::FaultConfig fc;
+    fc.seed = 1007;
+    fc.brownoutsPerHour = 120.0;
+    fc.brownoutMeanStall = 2.0;
+    fc.kvShrinksPerHour = 60.0;
+    fc.kvShrinkFraction = 0.999;
+    fc.kvShrinkDuration = 30.0;
+    er::Rng rng(7, "fuzz");
+    const auto trace =
+        ServingSimulator::poissonTrace(rng, 80, 0.5, 400, 800);
+    er::engine::ServerConfig cfg;
+    cfg.maxBatch = 8;
+    expectNodeMatchesServer(cfg, trace, er::engine::FaultPlan(fc));
 }
 
 } // namespace

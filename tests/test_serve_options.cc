@@ -143,6 +143,11 @@ TEST(ServeOptions, RejectsUnknownAndMalformedTokens)
     EXPECT_FALSE(parse({"--fleet", "4", "--fleet-index", "off"}, &err)
                      .has_value());
     EXPECT_NE(err.find("--fleet-index"), std::string::npos);
+    // So is the retired shard-count knob (reports never depended on
+    // it; serve runs one chunk per replication).
+    EXPECT_FALSE(parse({"--replications", "4", "--shards", "2"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("--shards"), std::string::npos);
 }
 
 TEST(ServeOptions, BooleanFlagsDoNotConsumeValues)
@@ -213,24 +218,14 @@ TEST(ServeOptions, RejectsMalformedDurabilityValues)
 TEST(ServeOptions, ParsesShardedReplications)
 {
     std::string err;
-    const auto o = parse({"--replications", "8", "--shards", "4"},
-                         &err);
+    const auto o = parse({"--replications", "8"}, &err);
     ASSERT_TRUE(o.has_value()) << err;
     EXPECT_EQ(o->replications, 8);
-    EXPECT_EQ(o->shards, 4);
 
-    // Defaults: one replication, shards auto (one per trace).
+    // Default: one replication.
     const auto d = parse({}, &err);
     ASSERT_TRUE(d.has_value()) << err;
     EXPECT_EQ(d->replications, 1);
-    EXPECT_EQ(d->shards, 0);
-}
-
-TEST(ServeOptions, ShardsNeedReplications)
-{
-    std::string err;
-    EXPECT_FALSE(parse({"--shards", "4"}, &err).has_value());
-    EXPECT_NE(err.find("--replications"), std::string::npos);
 }
 
 TEST(ServeOptions, ShardedModeExcludesPerRunMachinery)
@@ -277,13 +272,11 @@ TEST(ServeOptions, ParsesExactStepsFlag)
 
 TEST(ServeOptions, RejectsZeroCountFlags)
 {
-    // Zero replications/shards/fleet are nonsense; each must be a
-    // clear parse error, not a silently-degenerate run.
+    // Zero replications/fleet are nonsense; each must be a clear
+    // parse error, not a silently-degenerate run.
     std::string err;
     EXPECT_FALSE(parse({"--replications", "0"}, &err).has_value());
     EXPECT_NE(err.find("--replications"), std::string::npos) << err;
-    EXPECT_FALSE(parse({"--shards", "0"}, &err).has_value());
-    EXPECT_NE(err.find("--shards"), std::string::npos) << err;
     EXPECT_FALSE(parse({"--fleet", "0"}, &err).has_value());
     EXPECT_NE(err.find("--fleet"), std::string::npos) << err;
 }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -104,25 +106,50 @@ TEST(ThreadPool, ImbalancedWorkCompletes)
 
 TEST(ThreadPool, StealCounterAdvancesAcrossManyJobs)
 {
-    // Stealing is scheduling-dependent, so drive many imbalanced jobs
-    // and accept the (vanishingly unlikely) zero-steal outcome only on
-    // effectively single-threaded machines.
-    ThreadPool pool(4);
-    for (int round = 0; round < 50; ++round) {
+    // Forces a steal per job by construction, not by timing.  With one
+    // worker plus the calling thread, the worker's first body blocks
+    // until every other index has run.  The rest of the worker's range
+    // sits split on its own deque, so only the caller can run it — by
+    // stealing.  Caller bodies first wait for the worker to start,
+    // which leaves it a whole seed range (32 indices) to split.
+    // Every wait has a deadline, so a broken pool fails instead of
+    // hanging.
+    constexpr std::size_t kN = 64;
+    constexpr std::uint64_t kRounds = 8;
+    const auto caller = std::this_thread::get_id();
+    const auto wait_for = [](const auto &ready) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!ready()) {
+            if (std::chrono::steady_clock::now() > deadline)
+                return false;
+            std::this_thread::yield();
+        }
+        return true;
+    };
+    ThreadPool pool(2);
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+        std::atomic<bool> worker_started{false};
+        std::atomic<std::size_t> done{0};
+        std::atomic<bool> timed_out{false};
         pool.parallelFor(
-            256,
-            [&](std::size_t i) {
-                volatile long long acc = 0;
-                const int spins = (i < 8) ? 20000 : 50;
-                for (int k = 0; k < spins; ++k)
-                    acc += k;
+            kN,
+            [&](std::size_t) {
+                const bool first_on_worker =
+                    std::this_thread::get_id() != caller &&
+                    !worker_started.exchange(true);
+                const bool ok = first_on_worker
+                    ? wait_for([&] { return done.load() == kN - 1; })
+                    : wait_for([&] { return worker_started.load(); });
+                if (!ok)
+                    timed_out = true;
+                done.fetch_add(1);
             },
             1);
+        ASSERT_FALSE(timed_out.load()) << "round " << round;
     }
-    if (std::thread::hardware_concurrency() > 1)
-        EXPECT_GT(pool.steals(), 0u);
-    else
-        SUCCEED() << "single-core host: steals=" << pool.steals();
+    EXPECT_GT(pool.steals(), 0u);
+    EXPECT_GE(pool.steals(), kRounds);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives)

@@ -15,7 +15,8 @@
  *                    [--no-quant]
  *   edgereason serve --model DeepScaleR-1.5B --qps 0.1
  *                    [--requests 100] [--mean-in 120]
- *                    [--mean-out 1024] [--max-batch 30]
+ *                    [--mean-out 1024] [--max-batch 30] [--seed 777]
+ *                    [--replications 4]
  *                    [--scheduler fcfs|edf|spjf]
  *                    [--prefill-chunk 512]
  *                    [--faults] [--fault-seed 64023]
@@ -24,6 +25,7 @@
  *                    [--degrade none|budget|fallback]
  *                    [--degrade-budget 256]
  *                    [--fallback-model DeepScaleR-1.5B]
+ *                    [--fallback-quant]
  *                    [--checkpoint-dir DIR] [--checkpoint-every 64]
  *                    [--resume DIR] [--paranoid]
  *                    [--crash-at-step N] [--crash-at-time T]
@@ -33,12 +35,18 @@
  *                    [--system-prompt 512]
  *                    [--prefix-cache on|off] [--prefix-evict lru|cost]
  *                    [--fleet N] [--router rr|least|deadline|cost]
+ *                    [--stream] [--approx-stats]
  *                    [--hetero] [--node-faults]
- *                    [--node-crash-rate R] [--node-degrade-rate R]
- *                    [--node-slowdown-rate R] [--node-flap-rate R]
+ *                    [--node-crash-rate R] [--node-reboot 20]
+ *                    [--node-degrade-rate R] [--node-degrade-mean 60]
+ *                    [--node-slowdown-rate R] [--node-slowdown-mean 90]
+ *                    [--node-slowdown-mult 8]
+ *                    [--node-flap-rate R] [--node-flap-mean 5]
  *                    [--adaptive-health] [--health-quantile 0.95]
  *                    [--health-multiple 3] [--adaptive-timeout 4]
- *                    [--retry N] [--hedge F] [--cloud o4-mini]
+ *                    [--retry N] [--retry-backoff 0.25]
+ *                    [--request-timeout T] [--hedge F]
+ *                    [--cloud o4-mini] [--cloud-rtt 0.15]
  *                    [--fleet-journals DIR] [--crash-at-event N]
  *   edgereason replay <journal.bin|journal-dir> [--dump]
  *
@@ -640,9 +648,9 @@ cmdServe(const std::vector<std::string> &raw)
 
     if (o.replications > 1) {
         // Sharded mode (DESIGN.md §11): independent trace
-        // replications partitioned across the thread pool.  Each
-        // trace comes from its own named RngBank stream, so the
-        // reports are bit-identical at any --shards/--threads value.
+        // replications, one work chunk each, on the thread pool.
+        // Each trace comes from its own named RngBank stream, so the
+        // reports are bit-identical at any --threads value.
         RngBank bank(static_cast<std::uint64_t>(o.seed));
         auto traces = engine::ServingSimulator::replicatedPoissonTraces(
             bank, static_cast<std::size_t>(o.replications),
@@ -651,9 +659,7 @@ cmdServe(const std::vector<std::string> &raw)
         for (auto &trace : traces)
             for (auto &r : trace)
                 r.deadline = o.deadline;
-        const std::size_t shards = o.shards > 0
-            ? static_cast<std::size_t>(o.shards)
-            : traces.size();
+        const std::size_t shards = traces.size();
         const auto reports = engine::ServingSimulator::runSharded(
             eng, cfg, traces, shards);
         std::printf("served %lld replications x %lld requests on %s "
