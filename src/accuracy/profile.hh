@@ -84,11 +84,6 @@ class ResponseProfile
     Dataset dataset() const { return dataset_; }
     /** @return true for W4A16 profiles. */
     bool quantized() const { return quantized_; }
-    /** @return the resolved anchor behaviours (for inspection). */
-    const std::vector<ConfigBehavior> &anchorBehaviors() const
-    {
-        return resolved_;
-    }
 
   private:
     const ConfigBehavior *findAnchor(

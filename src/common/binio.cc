@@ -34,7 +34,7 @@ void ByteReader::need(std::size_t n) const
 {
     fatal_if(data_.size() - pos_ < n,
              "binio: truncated buffer: need ", n, " byte(s) at offset ",
-             pos_, " but only ", data_.size() - pos_, " remain");
+             offset(), " but only ", data_.size() - pos_, " remain");
 }
 
 std::uint8_t ByteReader::u8()
@@ -85,7 +85,13 @@ void ByteReader::expectEnd(const char *what) const
 {
     fatal_if(pos_ != data_.size(),
              "binio: ", what, ": ", data_.size() - pos_,
-             " trailing byte(s) after offset ", pos_);
+             " trailing byte(s) after offset ", offset());
+}
+
+void WireReader::fail(std::size_t width, const std::string &what) const
+{
+    fatal("binio: corrupt ", width ? "field at offset " : "record at offset ",
+          r_.offset() - width, ": ", what);
 }
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t h)

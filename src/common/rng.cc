@@ -68,16 +68,6 @@ Rng::logNormalMeanStd(double mean, double stddev)
     return std::lognormal_distribution<double>(mu, std::sqrt(sigma2))(gen_);
 }
 
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
 Rng
 Rng::fork(std::string_view stream)
 {

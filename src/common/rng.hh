@@ -48,8 +48,6 @@ class Rng
     double gaussian(double mean, double stddev);
     /** @return log-normal deviate parameterized by its own mean/stddev. */
     double logNormalMeanStd(double mean, double stddev);
-    /** @return true with probability p. */
-    bool bernoulli(double p);
 
     /** Derive a decorrelated child stream. */
     Rng fork(std::string_view stream);

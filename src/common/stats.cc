@@ -150,30 +150,36 @@ P2Quantile::value() const
     return q_[2];
 }
 
+template <class Io, class Self>
+void
+P2Quantile::codec(Io &io, Self &q)
+{
+    io.f64(q.p_);
+    io.check(q.p_ > 0.0 && q.p_ < 1.0, "P2Quantile restore: quantile ",
+             q.p_, " out of (0,1)");
+    io.u64(q.n_);
+    for (auto &v : q.q_)
+        io.f64(v);
+    for (auto &v : q.pos_)
+        io.f64(v);
+    for (auto &v : q.want_)
+        io.f64(v);
+}
+
 void
 P2Quantile::serialize(ByteWriter &w) const
 {
-    w.f64(p_);
-    w.u64(static_cast<std::uint64_t>(n_));
-    for (int i = 0; i < 5; ++i)
-        w.f64(q_[i]);
-    for (int i = 0; i < 5; ++i)
-        w.f64(pos_[i]);
-    for (int i = 0; i < 5; ++i)
-        w.f64(want_[i]);
+    WireWriter io(w);
+    codec(io, *this);
 }
 
 void
 P2Quantile::restore(ByteReader &r)
 {
-    p_ = r.f64();
-    n_ = static_cast<std::size_t>(r.u64());
-    for (int i = 0; i < 5; ++i)
-        q_[i] = r.f64();
-    for (int i = 0; i < 5; ++i)
-        pos_[i] = r.f64();
-    for (int i = 0; i < 5; ++i)
-        want_[i] = r.f64();
+    P2Quantile t = *this;
+    WireReader io(r);
+    codec(io, t);
+    *this = t;
 }
 
 double

@@ -89,6 +89,10 @@ class P2Quantile
     void restore(ByteReader &r);
 
   private:
+    /** The one codec of serialize()/restore() (stats.cc); @p Self is
+     *  P2Quantile or const P2Quantile. */
+    template <class Io, class Self> static void codec(Io &io, Self &q);
+
     double p_;
     std::size_t n_ = 0;
     double q_[5] = {0, 0, 0, 0, 0};    //!< marker heights

@@ -35,37 +35,44 @@ ServingState::serialize(ByteWriter &w) const
 void
 ServingState::restore(ByteReader &r)
 {
-    pool.clear();
-    queue.clear();
-    prefilling.clear();
-    active.clear();
-    retryGates.clear();
-    deadlines.clear();
-    queuedDeadlineGates.clear();
-    peakQueueDepth = 0;
-    // Adopt in container order; every index is derived state rebuilt
-    // here (enqueueNew rebuilds the queue-side ones).
-    const std::uint64_t nq = r.u64();
-    for (std::uint64_t i = 0; i < nq; ++i) {
-        TrackedRequest t;
-        engine::restore(r, t);
-        enqueueNew(t);
-    }
-    const auto read_in_flight = [this, &r](std::vector<ReqId> &ids) {
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
+    // Decode into a fresh state, adopting in container order: every
+    // index is derived state rebuilt here (enqueueNew rebuilds the
+    // queue-side ones).  Each container takes only its own lifecycle
+    // states, so the executor can drive whatever decodes.
+    ServingState st;
+    WireReader io(r);
+    const auto each = [&](auto &&adopt) {
+        std::size_t n = 0;
+        io.count(n, 1);
+        for (std::size_t i = 0; i < n; ++i) {
             TrackedRequest t;
             engine::restore(r, t);
-            const ReqId id = pool.adopt(t);
-            if (pool.hasDeadline(id))
-                deadlines.insert(pool.absoluteDeadline(id));
-            ids.push_back(id);
+            adopt(t);
         }
     };
-    read_in_flight(prefilling);
-    read_in_flight(active);
-    haveDeadlines = r.u8() != 0;
-    peakQueueDepth = r.u64();
+    each([&](const TrackedRequest &t) {
+        io.check(t.state == RequestState::Queued ||
+                     t.state == RequestState::Preempted,
+                 "request in state ", requestStateName(t.state),
+                 " in the wait queue");
+        st.enqueueNew(t);
+    });
+    const auto in_flight = [&](std::vector<ReqId> &ids, RequestState s) {
+        each([&](const TrackedRequest &t) {
+            io.check(t.state == s, "request in state ",
+                     requestStateName(t.state), " where ",
+                     requestStateName(s), " belongs");
+            const ReqId id = st.pool.adopt(t);
+            if (st.pool.hasDeadline(id))
+                st.deadlines.insert(st.pool.absoluteDeadline(id));
+            ids.push_back(id);
+        });
+    };
+    in_flight(st.prefilling, RequestState::Prefilling);
+    in_flight(st.active, RequestState::Decoding);
+    io.flag(st.haveDeadlines);
+    io.u64(st.peakQueueDepth);
+    *this = std::move(st);
 }
 
 BatchExecutor::BatchExecutor(InferenceEngine &engine,
@@ -1096,35 +1103,39 @@ BatchExecutor::auditView(const ServingState &st, std::size_t trace_size,
     return v;
 }
 
+template <class Io, class Self>
+void
+BatchExecutor::codec(Io &io, Self &x)
+{
+    io.obj(x.acc_);
+    io.obj(x.thermal_);
+    bool paged = x.paged_ != nullptr;
+    io.flag(paged);
+    io.check(paged == (x.paged_ != nullptr),
+             "checkpoint executor mode mismatch: checkpoint is ",
+             paged ? "paged" : "scalar", "-KV but this run is ",
+             x.paged_ ? "paged" : "scalar",
+             "-KV (different fault plan?); refusing to restore");
+    if (!x.paged_)
+        return;
+    io.u64(x.ballast_);
+    io.obj(*x.paged_);
+    io.check(x.paged_->hasSequence(x.ballast_), "KV ballast sequence ",
+             x.ballast_, " is not in the restored pool");
+}
+
 void
 BatchExecutor::serialize(ByteWriter &w) const
 {
-    engine::serialize(w, acc_);
-    thermal_.serialize(w);
-    w.u8(paged_ ? 1 : 0);
-    if (paged_) {
-        w.u64(ballast_);
-        paged_->serialize(w);
-    }
-    // stepCache_/chunkCache_ are pure memoization over the engine's
-    // noiseless const query surface: rebuilt identically on resume.
+    WireWriter io(w);
+    codec(io, *this);
 }
 
 void
 BatchExecutor::restore(ByteReader &r)
 {
-    engine::restore(r, acc_);
-    thermal_.restore(r);
-    const bool paged = r.u8() != 0;
-    fatal_if(paged != (paged_ != nullptr),
-             "checkpoint executor mode mismatch: checkpoint is ",
-             paged ? "paged" : "scalar", "-KV but this run is ",
-             paged_ ? "paged" : "scalar",
-             "-KV (different fault plan?); refusing to restore");
-    if (paged_) {
-        ballast_ = r.u64();
-        paged_->restore(r);
-    }
+    WireReader io(r);
+    codec(io, *this);
 }
 
 ServingReport

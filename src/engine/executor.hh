@@ -203,7 +203,8 @@ class BatchExecutor
      * so a resumed run recomputes identical values.
      */
     void serialize(ByteWriter &w) const;
-    /** Restore serialize() output; fatal() on a mode mismatch. */
+    /** Restore serialize() output into a freshly constructed
+     *  executor; fatal() on a mode mismatch or corrupt state. */
     void restore(ByteReader &r);
 
     /**
@@ -339,6 +340,9 @@ class BatchExecutor
                          const ServingState &st) const;
 
   private:
+    /** The one codec of serialize()/restore() (executor.cc); @p Self
+     *  is BatchExecutor or const BatchExecutor. */
+    template <class Io, class Self> static void codec(Io &io, Self &x);
     /** Queue (and journal) one arrival pulled by cycle(). */
     void enqueueArrival(ServingState &st, const TrackedRequest &t);
     /** Latch the slowdown multiplier in force at the clock. */

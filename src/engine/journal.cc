@@ -81,44 +81,190 @@ journalRecordTypeName(JournalRecordType t)
     panic("unknown journal record type");
 }
 
+namespace {
+
+template <class Io, WireOf<ExecAccumulators> R>
+void
+codec(Io &io, R &acc)
+{
+    io.f64(acc.clock);
+    io.f64(acc.busy);
+    io.f64(acc.throttledBusy);
+    io.f64(acc.energy);
+    io.f64(acc.batchTimeWeighted);
+    io.f64(acc.committedKv);
+    io.f64(acc.generatedTokens);
+    io.u64(acc.preemptions);
+    io.u64(acc.nextEvent);
+    io.u64(acc.decodeSteps);
+    io.u64(acc.macroSegments);
+    io.f64(acc.admittedPromptTokens);
+    io.f64(acc.cachedPrefixTokens);
+    io.f64(acc.prefillSecondsSaved);
+    io.u64(acc.prefixEvictions);
+}
+
+// --- Record payloads ---------------------------------------------------
+// One struct per record type, whose codec is the one statement of its
+// layout: the emitters, the replay and the text dump all go through
+// it.  Retire's payload is the ServedRequest record itself.
+
+struct RunBeginRecord
+{
+    std::uint64_t traceSize = 0; //!< informational
+    SchedulerPolicy policy = SchedulerPolicy::Fcfs;
+    Seconds firstArrival = 0.0;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.u64(r.traceSize);
+        io.choice(r.policy, SchedulerPolicy::Spjf, "scheduler policy");
+        io.f64(r.firstArrival);
+    }
+};
+
+struct ArrivalRecord
+{
+    std::int64_t traceIndex = -1;
+    ServerRequest req;
+    std::uint64_t queueDepth = 0;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.i64(r.traceIndex);
+        io.obj(r.req);
+        io.u64(r.queueDepth);
+    }
+};
+
+struct AdmitRecord
+{
+    std::int64_t traceIndex = -1;
+    Seconds clock = 0.0;
+    Tokens effOut = 0;
+    bool degraded = false;
+    SeqId seq = 0;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.i64(r.traceIndex);
+        io.f64(r.clock);
+        io.i64(r.effOut);
+        io.flag(r.degraded);
+        io.u64(r.seq);
+    }
+};
+
+struct StepRecord
+{
+    std::uint8_t kind = 0;   //!< 0 = prefill chunk, 1 = decode step
+    std::uint32_t count = 0; //!< coalesced steps (observability only)
+    ExecAccumulators acc;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.choice(r.kind, std::uint8_t{1}, "step kind");
+        io.u32(r.count);
+        io.obj(r.acc);
+    }
+};
+
+struct PreemptRecord
+{
+    std::int64_t traceIndex = -1;
+    bool requeued = false;
+    std::uint64_t queueDepth = 0;
+    std::uint64_t totalPreemptions = 0; //!< Step carries it too
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.i64(r.traceIndex);
+        io.flag(r.requeued);
+        io.u64(r.queueDepth);
+        io.u64(r.totalPreemptions);
+    }
+};
+
+struct FaultRecord
+{
+    FaultEvent event;
+    Seconds clockAfter = 0.0;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.choice(r.event.kind, FaultKind::KvRestore, "fault kind");
+        io.f64(r.event.time);
+        io.f64(r.event.duration);
+        io.f64(r.event.magnitude);
+        io.f64(r.clockAfter);
+    }
+};
+
+struct MarkRecord
+{
+    std::uint64_t step = 0;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.u64(r.step);
+    }
+};
+
+struct RunEndRecord
+{
+    ExecAccumulators acc;
+    std::uint64_t peakQueueDepth = 0;
+
+    template <class Io, class R> static void codec(Io &io, R &r)
+    {
+        io.obj(r.acc);
+        io.u64(r.peakQueueDepth);
+    }
+};
+
+template <class Rec>
+ByteWriter
+encodePayload(const Rec &rec)
+{
+    ByteWriter w;
+    WireWriter io(w);
+    Rec::codec(io, rec);
+    return w;
+}
+
+/** Decode @p raw's whole payload as a @p Rec: fatal() naming the file
+ *  offset on any bad byte, or on bytes left over. */
+template <class Rec>
+Rec
+decodePayload(const JournalRawRecord &raw)
+{
+    ByteReader r(raw.payload, raw.offset + 5);
+    WireReader io(r);
+    Rec rec;
+    if constexpr (std::is_same_v<Rec, ServedRequest>)
+        io.obj(rec);
+    else
+        Rec::codec(io, rec);
+    r.expectEnd(journalRecordTypeName(raw.type));
+    return rec;
+}
+
+} // namespace
+
 void
 serialize(ByteWriter &w, const ExecAccumulators &acc)
 {
-    w.f64(acc.clock);
-    w.f64(acc.busy);
-    w.f64(acc.throttledBusy);
-    w.f64(acc.energy);
-    w.f64(acc.batchTimeWeighted);
-    w.f64(acc.committedKv);
-    w.f64(acc.generatedTokens);
-    w.u64(acc.preemptions);
-    w.u64(acc.nextEvent);
-    w.u64(acc.decodeSteps);
-    w.u64(acc.macroSegments);
-    w.f64(acc.admittedPromptTokens);
-    w.f64(acc.cachedPrefixTokens);
-    w.f64(acc.prefillSecondsSaved);
-    w.u64(acc.prefixEvictions);
+    WireWriter io(w);
+    codec(io, acc);
 }
 
 void
 restore(ByteReader &r, ExecAccumulators &acc)
 {
-    acc.clock = r.f64();
-    acc.busy = r.f64();
-    acc.throttledBusy = r.f64();
-    acc.energy = r.f64();
-    acc.batchTimeWeighted = r.f64();
-    acc.committedKv = r.f64();
-    acc.generatedTokens = r.f64();
-    acc.preemptions = r.u64();
-    acc.nextEvent = r.u64();
-    acc.decodeSteps = r.u64();
-    acc.macroSegments = r.u64();
-    acc.admittedPromptTokens = r.f64();
-    acc.cachedPrefixTokens = r.f64();
-    acc.prefillSecondsSaved = r.f64();
-    acc.prefixEvictions = r.u64();
+    WireReader io(r);
+    ExecAccumulators t;
+    codec(io, t);
+    acc = t;
 }
 
 Journal
@@ -150,10 +296,8 @@ Journal::resumeAt(const std::string &path, std::uint64_t fingerprint,
     std::size_t mark = contents.records.size();
     for (std::size_t i = 0; i < contents.records.size(); ++i) {
         const auto &rec = contents.records[i];
-        if (rec.type != JournalRecordType::CheckpointMark)
-            continue;
-        ByteReader r(rec.payload);
-        if (r.u64() == step)
+        if (rec.type == JournalRecordType::CheckpointMark &&
+            decodePayload<MarkRecord>(rec).step == step)
             mark = i;
     }
     fatal_if(mark == contents.records.size(),
@@ -211,44 +355,31 @@ void
 Journal::emitRunBegin(std::size_t trace_size, SchedulerPolicy policy,
                       Seconds first_arrival)
 {
-    ByteWriter w;
-    w.u64(trace_size);
-    w.u8(static_cast<std::uint8_t>(policy));
-    w.f64(first_arrival);
-    emit(JournalRecordType::RunBegin, w);
+    emit(JournalRecordType::RunBegin,
+         encodePayload(RunBeginRecord{trace_size, policy, first_arrival}));
 }
 
 void
 Journal::emitArrival(const TrackedRequest &r, std::size_t queue_depth)
 {
-    ByteWriter w;
-    w.i64(r.traceIndex);
-    serialize(w, r.req);
-    w.u64(queue_depth);
-    emit(JournalRecordType::Arrival, w);
+    emit(JournalRecordType::Arrival,
+         encodePayload(ArrivalRecord{r.traceIndex, r.req, queue_depth}));
 }
 
 void
 Journal::emitAdmit(const TrackedRequest &r, Seconds clock)
 {
-    ByteWriter w;
-    w.i64(r.traceIndex);
-    w.f64(clock);
-    w.i64(r.effOut);
-    w.u8(r.degraded ? 1 : 0);
-    w.u64(r.seq);
-    emit(JournalRecordType::Admit, w);
+    emit(JournalRecordType::Admit,
+         encodePayload(AdmitRecord{r.traceIndex, clock, r.effOut,
+                                   r.degraded, r.seq}));
 }
 
 void
 Journal::emitStep(std::uint8_t kind, std::uint32_t count,
                   const ExecAccumulators &acc)
 {
-    ByteWriter w;
-    w.u8(kind);
-    w.u32(count);
-    serialize(w, acc);
-    emit(JournalRecordType::Step, w);
+    emit(JournalRecordType::Step,
+         encodePayload(StepRecord{kind, count, acc}));
 }
 
 void
@@ -256,24 +387,16 @@ Journal::emitPreempt(const TrackedRequest &r, bool requeued,
                      std::size_t queue_depth,
                      std::uint64_t total_preemptions)
 {
-    ByteWriter w;
-    w.i64(r.traceIndex);
-    w.u8(requeued ? 1 : 0);
-    w.u64(queue_depth);
-    w.u64(total_preemptions);
-    emit(JournalRecordType::Preempt, w);
+    emit(JournalRecordType::Preempt,
+         encodePayload(PreemptRecord{r.traceIndex, requeued, queue_depth,
+                                     total_preemptions}));
 }
 
 void
 Journal::emitFault(const FaultEvent &e, Seconds clock_after)
 {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.f64(e.time);
-    w.f64(e.duration);
-    w.f64(e.magnitude);
-    w.f64(clock_after);
-    emit(JournalRecordType::Fault, w);
+    emit(JournalRecordType::Fault,
+         encodePayload(FaultRecord{e, clock_after}));
 }
 
 void
@@ -287,19 +410,16 @@ Journal::emitRetire(const ServedRequest &s)
 void
 Journal::emitCheckpointMark(std::uint64_t step)
 {
-    ByteWriter w;
-    w.u64(step);
-    emit(JournalRecordType::CheckpointMark, w);
+    emit(JournalRecordType::CheckpointMark,
+         encodePayload(MarkRecord{step}));
 }
 
 void
 Journal::emitRunEnd(const ExecAccumulators &acc,
                     std::size_t peak_queue_depth)
 {
-    ByteWriter w;
-    serialize(w, acc);
-    w.u64(peak_queue_depth);
-    emit(JournalRecordType::RunEnd, w);
+    emit(JournalRecordType::RunEnd,
+         encodePayload(RunEndRecord{acc, peak_queue_depth}));
 }
 
 JournalContents
@@ -373,60 +493,47 @@ replayServingReport(const std::string &path)
     std::vector<ServedRequest> served;
 
     for (const auto &rec : contents.records) {
-        ByteReader r(rec.payload);
         switch (rec.type) {
           case JournalRecordType::RunBegin: {
-            r.u64(); // trace size (informational)
-            const std::uint8_t p = r.u8();
-            fatal_if(p > static_cast<std::uint8_t>(
-                             SchedulerPolicy::Spjf),
-                     "journal ", path, ": invalid policy at offset ",
-                     rec.offset);
-            policy = static_cast<SchedulerPolicy>(p);
-            firstArrival = r.f64();
+            const auto b = decodePayload<RunBeginRecord>(rec);
+            policy = b.policy;
+            firstArrival = b.firstArrival;
             haveBegin = true;
             break;
           }
-          case JournalRecordType::Arrival: {
-            r.i64();
-            ServerRequest req;
-            restore(r, req);
-            peak = std::max<std::size_t>(peak, r.u64());
+          case JournalRecordType::Arrival:
+            peak = std::max<std::size_t>(
+                peak, decodePayload<ArrivalRecord>(rec).queueDepth);
             break;
-          }
-          case JournalRecordType::Step: {
-            r.u8();
-            r.u32(); // coalesced step count (observability only)
-            restore(r, acc);
+          case JournalRecordType::Admit:
+            decodePayload<AdmitRecord>(rec);
+            break;
+          case JournalRecordType::Step:
+            acc = decodePayload<StepRecord>(rec).acc;
             haveAcc = true;
             break;
-          }
-          case JournalRecordType::Preempt: {
-            r.i64();
-            r.u8();
-            peak = std::max<std::size_t>(peak, r.u64());
-            r.u64(); // running preemption total (Step carries it too)
+          case JournalRecordType::Preempt:
+            peak = std::max<std::size_t>(
+                peak, decodePayload<PreemptRecord>(rec).queueDepth);
             break;
-          }
-          case JournalRecordType::Retire: {
-            ServedRequest s;
-            restore(r, s);
-            served.push_back(std::move(s));
+          case JournalRecordType::Fault:
+            decodePayload<FaultRecord>(rec);
             break;
-          }
+          case JournalRecordType::Retire:
+            served.push_back(decodePayload<ServedRequest>(rec));
+            break;
+          case JournalRecordType::CheckpointMark:
+            decodePayload<MarkRecord>(rec);
+            break;
           case JournalRecordType::RunEnd: {
-            restore(r, acc);
-            peak = std::max<std::size_t>(peak, r.u64());
+            const auto e = decodePayload<RunEndRecord>(rec);
+            acc = e.acc;
+            peak = std::max<std::size_t>(peak, e.peakQueueDepth);
             haveAcc = true;
             haveEnd = true;
             break;
           }
-          case JournalRecordType::Admit:
-          case JournalRecordType::Fault:
-          case JournalRecordType::CheckpointMark:
-            continue; // payload not needed for the report
         }
-        r.expectEnd(journalRecordTypeName(rec.type));
     }
 
     fatal_if(!haveBegin, "journal ", path,
@@ -448,61 +555,61 @@ dumpJournalText(const std::string &path, std::ostream &os)
        << std::dec << " (" << contents.records.size() << " records)\n";
     os << std::setprecision(17);
     for (const auto &rec : contents.records) {
-        ByteReader r(rec.payload);
         os << rec.offset << " " << journalRecordTypeName(rec.type);
         switch (rec.type) {
           case JournalRecordType::RunBegin: {
-            os << " trace=" << r.u64();
-            os << " policy="
-               << schedulerPolicyName(
-                      static_cast<SchedulerPolicy>(r.u8()));
-            os << " first-arrival=" << r.f64();
+            const auto b = decodePayload<RunBeginRecord>(rec);
+            os << " trace=" << b.traceSize
+               << " policy=" << schedulerPolicyName(b.policy)
+               << " first-arrival=" << b.firstArrival;
             break;
           }
           case JournalRecordType::Arrival: {
-            os << " idx=" << r.i64();
-            ServerRequest req;
-            restore(r, req);
-            os << " arrival=" << req.arrival << " in="
-               << req.inputTokens << " out=" << req.outputTokens
-               << " prio=" << req.priority << " deadline="
-               << req.deadline << " depth=" << r.u64();
+            const auto a = decodePayload<ArrivalRecord>(rec);
+            os << " idx=" << a.traceIndex << " arrival=" << a.req.arrival
+               << " in=" << a.req.inputTokens
+               << " out=" << a.req.outputTokens
+               << " prio=" << a.req.priority
+               << " deadline=" << a.req.deadline
+               << " depth=" << a.queueDepth;
             break;
           }
           case JournalRecordType::Admit: {
-            os << " idx=" << r.i64() << " clock=" << r.f64()
-               << " eff-out=" << r.i64()
-               << " degraded=" << int(r.u8()) << " seq=" << r.u64();
+            const auto a = decodePayload<AdmitRecord>(rec);
+            os << " idx=" << a.traceIndex << " clock=" << a.clock
+               << " eff-out=" << a.effOut
+               << " degraded=" << int(a.degraded) << " seq=" << a.seq;
             break;
           }
           case JournalRecordType::Step: {
-            const std::uint8_t kind = r.u8();
-            const std::uint32_t count = r.u32();
-            ExecAccumulators acc;
-            restore(r, acc);
-            os << (kind == 0 ? " prefill" : " decode")
-               << " x" << count
-               << " clock=" << acc.clock << " busy=" << acc.busy
-               << " energy=" << acc.energy
-               << " generated=" << acc.generatedTokens
-               << " preemptions=" << acc.preemptions;
+            const auto st = decodePayload<StepRecord>(rec);
+            os << (st.kind == 0 ? " prefill" : " decode")
+               << " x" << st.count
+               << " clock=" << st.acc.clock << " busy=" << st.acc.busy
+               << " energy=" << st.acc.energy
+               << " generated=" << st.acc.generatedTokens
+               << " preemptions=" << st.acc.preemptions;
             break;
           }
           case JournalRecordType::Preempt: {
-            os << " idx=" << r.i64() << " requeued=" << int(r.u8())
-               << " depth=" << r.u64() << " total=" << r.u64();
+            const auto p = decodePayload<PreemptRecord>(rec);
+            os << " idx=" << p.traceIndex
+               << " requeued=" << int(p.requeued)
+               << " depth=" << p.queueDepth
+               << " total=" << p.totalPreemptions;
             break;
           }
           case JournalRecordType::Fault: {
-            os << " kind="
-               << faultKindName(static_cast<FaultKind>(r.u8()))
-               << " time=" << r.f64() << " duration=" << r.f64()
-               << " magnitude=" << r.f64() << " clock=" << r.f64();
+            const auto f = decodePayload<FaultRecord>(rec);
+            os << " kind=" << faultKindName(f.event.kind)
+               << " time=" << f.event.time
+               << " duration=" << f.event.duration
+               << " magnitude=" << f.event.magnitude
+               << " clock=" << f.clockAfter;
             break;
           }
           case JournalRecordType::Retire: {
-            ServedRequest s;
-            restore(r, s);
+            const auto s = decodePayload<ServedRequest>(rec);
             os << " idx=" << s.traceIndex << " outcome="
                << requestOutcomeName(s.outcome) << " finish="
                << s.finish << " latency=" << s.latency()
@@ -510,16 +617,14 @@ dumpJournalText(const std::string &path, std::ostream &os)
                << s.preemptions << " degraded=" << int(s.degraded);
             break;
           }
-          case JournalRecordType::CheckpointMark: {
-            os << " step=" << r.u64();
+          case JournalRecordType::CheckpointMark:
+            os << " step=" << decodePayload<MarkRecord>(rec).step;
             break;
-          }
           case JournalRecordType::RunEnd: {
-            ExecAccumulators acc;
-            restore(r, acc);
-            os << " clock=" << acc.clock << " busy=" << acc.busy
-               << " energy=" << acc.energy << " peak-depth="
-               << r.u64();
+            const auto e = decodePayload<RunEndRecord>(rec);
+            os << " clock=" << e.acc.clock << " busy=" << e.acc.busy
+               << " energy=" << e.acc.energy
+               << " peak-depth=" << e.peakQueueDepth;
             break;
           }
         }

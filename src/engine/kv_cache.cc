@@ -450,55 +450,119 @@ KvCache::auditConservation() const
                  "prefix audit: free-list block ", f, " still referenced");
 }
 
+template <class Io, class Self>
+void
+KvCache::flatCodec(Io &io, Self &kv)
+{
+    // Geometry is the instance's own: written for the reader to check.
+    Tokens blockTokens = kv.block_tokens_;
+    Bytes blockBytes = kv.block_bytes_;
+    std::size_t blockCap = kv.block_capacity_;
+    io.i64(blockTokens);
+    io.i64(blockBytes);
+    io.u64(blockCap);
+    io.check(blockTokens == kv.block_tokens_ &&
+                 blockBytes == kv.block_bytes_ &&
+                 blockCap == kv.block_capacity_,
+             "KvCache restore: geometry mismatch (checkpoint ", blockCap,
+             " blocks of ", blockTokens, " tokens vs instance ",
+             kv.block_capacity_, " blocks of ", kv.block_tokens_,
+             " tokens)");
+    io.u64(kv.blocks_in_use_);
+    io.u64(kv.next_seq_);
+    io.list(kv.blocks_, 4 + 8, [&](auto &b) {
+        io.u32(b.refcount);
+        io.i64(b.filled);
+        io.check(b.filled >= 0 && b.filled <= kv.block_tokens_,
+                 "KvCache restore: corrupt block record");
+    });
+    const std::size_t nBlocks = kv.blocks_.size();
+    io.check(nBlocks <= kv.block_capacity_ &&
+                 kv.blocks_in_use_ <= nBlocks,
+             "KvCache restore: ", kv.blocks_in_use_, " of ", nBlocks,
+             " blocks in use overflows the capacity");
+    io.list(kv.free_list_, 4, [&](auto &f) {
+        io.u32(f);
+        io.check(f < nBlocks && kv.blocks_[f].refcount == 0,
+                 "KvCache restore: free-list entry ", f,
+                 " out of range or live");
+    });
+    io.check(kv.blocks_in_use_ + kv.free_list_.size() == nBlocks,
+             "KvCache restore: ", kv.blocks_in_use_, " used + ",
+             kv.free_list_.size(), " free blocks != ", nBlocks);
+
+    // unordered_map iteration order is not deterministic: sequences
+    // travel sorted by handle, so identical states emit identical bytes.
+    std::vector<std::pair<SeqId, Sequence>> seqs;
+    if constexpr (!Io::kDecoding) {
+        seqs.assign(kv.seqs_.begin(), kv.seqs_.end());
+        std::sort(seqs.begin(), seqs.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+    }
+    io.list(seqs, 8 + 8 + 8, [&](auto &e) {
+        io.u64(e.first);
+        io.i64(e.second.tokens);
+        io.list(e.second.blocks, 4, [&](auto &b) {
+            io.u32(b);
+            io.check(b < nBlocks, "KvCache restore: sequence block ",
+                     b, " out of range");
+        });
+        io.check(e.second.tokens >= 0 &&
+                     e.second.tokens <=
+                         static_cast<Tokens>(e.second.blocks.size()) *
+                             kv.block_tokens_,
+                 "KvCache restore: sequence of ", e.second.tokens,
+                 " tokens in ", e.second.blocks.size(), " blocks");
+        io.check(e.first < kv.next_seq_,
+                 "KvCache restore: sequence ", e.first,
+                 " at or past the next handle ", kv.next_seq_);
+    });
+    if constexpr (Io::kDecoding) {
+        kv.seqs_.clear();
+        kv.seqs_.reserve(seqs.size());
+        for (auto &[id, seq] : seqs)
+            io.check(kv.seqs_.emplace(id, std::move(seq)).second,
+                     "KvCache restore: duplicate sequence ", id);
+    }
+    if (!kv.prefix_.enabled)
+        return;
+
+    // Prefix-index section header; the node table follows it.
+    std::uint32_t magic = kPrefixIndexMagic;
+    io.u32(magic);
+    io.check(magic == kPrefixIndexMagic,
+             "KvCache restore: prefix-index section missing — "
+             "checkpoint written without --prefix-cache?");
+    PrefixEvictPolicy evict = kv.prefix_.evict;
+    io.choice(evict, PrefixEvictPolicy::Cost, "eviction policy");
+    io.check(evict == kv.prefix_.evict,
+             "KvCache restore: eviction policy mismatch (checkpoint ",
+             prefixEvictPolicyName(evict), " vs instance ",
+             prefixEvictPolicyName(kv.prefix_.evict), ")");
+    io.u64(kv.touch_clock_);
+    io.u64(kv.insert_clock_);
+    io.u64(kv.pstats_.hitBlocks);
+    io.u64(kv.pstats_.missBlocks);
+    io.u64(kv.pstats_.insertedBlocks);
+    io.u64(kv.pstats_.evictions);
+    io.f64(kv.pstats_.hitTokens);
+    io.f64(kv.pstats_.hitBytes);
+    io.f64(kv.pstats_.missBytes);
+    io.f64(kv.pstats_.evictedBytes);
+}
+
 void
 KvCache::serialize(ByteWriter &w) const
 {
-    w.i64(block_tokens_);
-    w.i64(block_bytes_);
-    w.u64(block_capacity_);
-    w.u64(blocks_in_use_);
-    w.u64(next_seq_);
-    w.u64(blocks_.size());
-    for (const Block &b : blocks_) {
-        w.u32(static_cast<std::uint32_t>(b.refcount));
-        w.i64(b.filled);
-    }
-    w.u64(free_list_.size());
-    for (std::uint32_t f : free_list_)
-        w.u32(f);
-    // unordered_map iteration order is not deterministic; emit sequences
-    // sorted by handle so identical states produce identical bytes.
-    std::vector<SeqId> ids;
-    ids.reserve(seqs_.size());
-    for (const auto &[id, seq] : seqs_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (SeqId id : ids) {
-        const Sequence &s = seqs_.at(id);
-        w.u64(id);
-        w.i64(s.tokens);
-        w.u64(s.blocks.size());
-        for (std::uint32_t b : s.blocks)
-            w.u32(b);
-    }
+    WireWriter io(w);
+    flatCodec(io, *this);
     if (!prefix_.enabled)
         return;
-    // Prefix-index section.  Nodes go out sorted by (depth, hash) so two
-    // caches holding the same logical index emit identical bytes, and so
-    // every node's parent precedes it on restore.
-    w.u32(kPrefixIndexMagic);
-    w.u8(static_cast<std::uint8_t>(prefix_.evict));
-    w.u64(touch_clock_);
-    w.u64(insert_clock_);
-    w.u64(pstats_.hitBlocks);
-    w.u64(pstats_.missBlocks);
-    w.u64(pstats_.insertedBlocks);
-    w.u64(pstats_.evictions);
-    w.f64(pstats_.hitTokens);
-    w.f64(pstats_.hitBytes);
-    w.f64(pstats_.missBytes);
-    w.f64(pstats_.evictedBytes);
+    // Prefix-index nodes go out sorted by (depth, hash) so two caches
+    // holding the same logical index emit identical bytes, and so every
+    // node's parent precedes it on restore.
     std::vector<std::uint32_t> live;
     live.reserve(by_hash_.size());
     for (std::uint32_t i = 0;
@@ -528,81 +592,26 @@ KvCache::serialize(ByteWriter &w) const
 void
 KvCache::restore(ByteReader &r)
 {
-    const Tokens blockTokens = r.i64();
-    const Bytes blockBytes = r.i64();
-    const std::uint64_t blockCap = r.u64();
-    fatal_if(blockTokens != block_tokens_ || blockBytes != block_bytes_ ||
-                 blockCap != block_capacity_,
-             "KvCache restore: geometry mismatch (checkpoint ", blockCap,
-             " blocks of ", blockTokens, " tokens vs instance ",
-             block_capacity_, " blocks of ", block_tokens_, " tokens)");
-    const std::uint64_t inUse = r.u64();
-    const std::uint64_t nextSeq = r.u64();
-    const std::uint64_t nBlocks = r.u64();
-    fatal_if(inUse > blockCap, "KvCache restore: blocks_in_use overflow");
-    std::vector<Block> blocks(nBlocks);
-    for (auto &b : blocks) {
-        b.refcount = static_cast<int>(r.u32());
-        b.filled = r.i64();
-        fatal_if(b.refcount < 0 || b.filled < 0 ||
-                     b.filled > block_tokens_,
-                 "KvCache restore: corrupt block record");
-    }
-    const std::uint64_t nFree = r.u64();
-    std::vector<std::uint32_t> freeList(nFree);
-    for (auto &f : freeList) {
-        f = r.u32();
-        fatal_if(f >= nBlocks, "KvCache restore: free-list entry ", f,
-                 " out of range");
-    }
-    const std::uint64_t nSeqs = r.u64();
-    std::unordered_map<SeqId, Sequence> seqs;
-    seqs.reserve(nSeqs);
-    for (std::uint64_t i = 0; i < nSeqs; ++i) {
-        const SeqId id = r.u64();
-        Sequence s;
-        s.tokens = r.i64();
-        const std::uint64_t nb = r.u64();
-        s.blocks.resize(nb);
-        for (auto &b : s.blocks) {
-            b = r.u32();
-            fatal_if(b >= nBlocks,
-                     "KvCache restore: sequence block out of range");
-        }
-        fatal_if(!seqs.emplace(id, std::move(s)).second,
-                 "KvCache restore: duplicate sequence ", id);
-    }
-    PrefixStats pstats;
-    std::vector<PrefixNode> nodes;
-    std::unordered_map<std::uint64_t, std::uint32_t> byHash;
-    std::uint64_t touchClock = 0;
-    std::uint64_t insertClock = 0;
-    if (prefix_.enabled) {
-        fatal_if(r.u32() != kPrefixIndexMagic,
-                 "KvCache restore: prefix-index section missing — "
-                 "checkpoint written without --prefix-cache?");
-        const auto evict = static_cast<PrefixEvictPolicy>(r.u8());
-        fatal_if(evict != prefix_.evict,
-                 "KvCache restore: eviction policy mismatch (checkpoint ",
-                 prefixEvictPolicyName(evict), " vs instance ",
-                 prefixEvictPolicyName(prefix_.evict), ")");
-        touchClock = r.u64();
-        insertClock = r.u64();
-        pstats.hitBlocks = r.u64();
-        pstats.missBlocks = r.u64();
-        pstats.insertedBlocks = r.u64();
-        pstats.evictions = r.u64();
-        pstats.hitTokens = r.f64();
-        pstats.hitBytes = r.f64();
-        pstats.missBytes = r.f64();
-        pstats.evictedBytes = r.f64();
-        const std::uint64_t nNodes = r.u64();
-        nodes.reserve(nNodes);
-        byHash.reserve(nNodes);
-        for (std::uint64_t i = 0; i < nNodes; ++i) {
+    // Decode into a copy of this cache (its geometry and prefix
+    // config are what the checkpoint is checked against); commit once
+    // every section decoded.
+    KvCache kv = *this;
+    WireReader io(r);
+    flatCodec(io, kv);
+    kv.nodes_.clear();
+    kv.node_free_.clear();
+    kv.by_hash_.clear();
+    if (kv.prefix_.enabled) {
+        constexpr std::size_t kNodeBytes = 8 + 1 + 8 + 4 + 4 + 8 + 8 + 8;
+        std::size_t nNodes = 0;
+        io.count(nNodes, kNodeBytes);
+        kv.nodes_.reserve(nNodes);
+        kv.by_hash_.reserve(nNodes);
+        for (std::size_t i = 0; i < nNodes; ++i) {
             PrefixNode nd;
             nd.hash = r.u64();
-            const bool hasParent = r.u8() != 0;
+            bool hasParent = false;
+            io.flag(hasParent);
             const std::uint64_t parentHash = r.u64();
             nd.block = r.u32();
             nd.depth = r.u32();
@@ -610,40 +619,45 @@ KvCache::restore(ByteReader &r)
             nd.insertSeq = r.u64();
             nd.rebuildSeconds = r.f64();
             nd.live = true;
-            fatal_if(nd.block >= nBlocks,
+            fatal_if(nd.block >= kv.blocks_.size(),
                      "KvCache restore: index page out of range");
-            fatal_if(blocks[nd.block].refcount < 1 ||
-                         blocks[nd.block].filled != block_tokens_,
+            fatal_if(kv.blocks_[nd.block].refcount < 1 ||
+                         kv.blocks_[nd.block].filled != block_tokens_,
                      "KvCache restore: index page ", nd.block,
                      " not a live full block");
             if (hasParent) {
-                const auto p = byHash.find(parentHash);
-                fatal_if(p == byHash.end(),
+                const auto p = kv.by_hash_.find(parentHash);
+                fatal_if(p == kv.by_hash_.end(),
                          "KvCache restore: index node parent missing");
+                fatal_if(nd.depth != kv.nodes_[p->second].depth + 1,
+                         "KvCache restore: index node depth ", nd.depth,
+                         " under a parent at depth ",
+                         kv.nodes_[p->second].depth);
                 nd.parent = p->second;
-                ++nodes[p->second].children;
+                ++kv.nodes_[p->second].children;
             } else {
                 fatal_if(nd.depth != 0,
                          "KvCache restore: non-root node without parent");
             }
             const std::uint32_t nid =
-                static_cast<std::uint32_t>(nodes.size());
-            fatal_if(!byHash.emplace(nd.hash, nid).second,
+                static_cast<std::uint32_t>(kv.nodes_.size());
+            fatal_if(!kv.by_hash_.emplace(nd.hash, nid).second,
                      "KvCache restore: duplicate index hash");
-            nodes.push_back(nd);
+            kv.nodes_.push_back(nd);
         }
     }
-    blocks_in_use_ = inUse;
-    next_seq_ = nextSeq;
-    blocks_ = std::move(blocks);
-    free_list_ = std::move(freeList);
-    seqs_ = std::move(seqs);
-    pstats_ = pstats;
-    nodes_ = std::move(nodes);
-    node_free_.clear();
-    by_hash_ = std::move(byHash);
-    touch_clock_ = touchClock;
-    insert_clock_ = insertClock;
+    // Every refcount is exactly its sequence + index references.
+    std::vector<int> refs(kv.blocks_.size(), 0);
+    for (const auto &[id, seq] : kv.seqs_)
+        for (const std::uint32_t b : seq.blocks)
+            ++refs[b];
+    for (const PrefixNode &nd : kv.nodes_)
+        ++refs[nd.block];
+    for (std::size_t b = 0; b < refs.size(); ++b)
+        fatal_if(refs[b] != kv.blocks_[b].refcount, "KvCache restore: "
+                 "block ", b, " refcount ", kv.blocks_[b].refcount,
+                 " != its ", refs[b], " reference(s)");
+    *this = std::move(kv);
 }
 
 } // namespace engine

@@ -118,6 +118,8 @@ class KvCache
     Tokens blockTokens() const { return block_tokens_; }
     /** @return number of live sequences. */
     std::size_t sequenceCount() const { return seqs_.size(); }
+    /** @return true if @p seq is a live sequence handle. */
+    bool hasSequence(SeqId seq) const { return seqs_.count(seq) != 0; }
 
     /**
      * Largest token count appendable right now to a FRESH (empty)
@@ -150,8 +152,6 @@ class KvCache
 
     /** @return true when the radix prefix index is active. */
     bool prefixEnabled() const { return prefix_.enabled; }
-    /** @return the index configuration. */
-    const PrefixCacheConfig &prefixConfig() const { return prefix_; }
     /** @return lifetime hit/miss/eviction counters. */
     const PrefixStats &prefixStats() const { return pstats_; }
     /** @return number of blocks currently held by the index. */
@@ -251,6 +251,12 @@ class KvCache
         double rebuildSeconds = 0.0;  //!< prefill cost to rebuild this block
         bool live = false;
     };
+
+    /** The one codec of the flat sections (geometry, blocks, free
+     *  list, sequences, prefix-index header and stats) for serialize()
+     *  and restore(); @p Self is KvCache or const KvCache. */
+    template <class Io, class Self>
+    static void flatCodec(Io &io, Self &kv);
 
     std::uint32_t allocBlock();
     void unref(std::uint32_t block);

@@ -1,5 +1,7 @@
 #include "engine/request_state.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 
 namespace edgereason {
@@ -61,134 +63,98 @@ requestTransitionAllowed(RequestState from, RequestState to)
     panic("unknown request state");
 }
 
+namespace {
+
+// Request codecs (common/binio.hh): the one statement of each layout.
+
+template <class Io, WireOf<ServerRequest> R>
 void
-TrackedRequest::transitionTo(RequestState next)
+codec(Io &io, R &r)
 {
-    panic_if(!requestTransitionAllowed(state, next),
-             "illegal request lifecycle transition ",
-             requestStateName(state), " -> ", requestStateName(next));
-    state = next;
+    io.f64(r.arrival);
+    io.i64(r.inputTokens);
+    io.i64(r.outputTokens);
+    io.i64(r.priority);
+    io.f64(r.deadline);
+    io.check(std::isfinite(r.arrival) && std::isfinite(r.deadline) &&
+                 r.inputTokens >= 1 && r.outputTokens >= 1,
+             "request with arrival ", r.arrival, ", deadline ", r.deadline,
+             ", ", r.inputTokens, " input and ", r.outputTokens,
+             " output tokens");
+    io.i64(r.sessionId);
+    io.list(r.prefixHashes, 8, [&](auto &h) { io.u64(h); });
 }
 
+template <class Io, WireOf<ServedRequest> R>
 void
-TrackedRequest::resetForAdmission(Seconds now, Tokens eff_out,
-                                  bool degraded_now, SeqId kv_seq,
-                                  Tokens cached_prefix)
+codec(Io &io, R &r)
 {
-    transitionTo(RequestState::Prefilling);
-    effOut = eff_out;
-    prefillStart = now;
-    prefillDone = cached_prefix;
-    generated = 0;
-    degraded = degraded_now;
-    seq = kv_seq;
-    cachedPrefix = cached_prefix;
-    prefillEnd = 0.0;
+    codec(io, r.request);
+    io.choice(r.outcome, RequestOutcome::Cancelled, "request outcome");
+    io.f64(r.queueDelay);
+    io.f64(r.serviceTime);
+    io.f64(r.finish);
+    io.i64(r.generated);
+    io.i64(r.preemptions);
+    io.flag(r.degraded);
+    io.i64(r.traceIndex);
+    io.i64(r.cachedPrefix);
+    io.f64(r.firstToken);
 }
 
+template <class Io, WireOf<TrackedRequest> R>
 void
-serialize(ByteWriter &w, const ServerRequest &r)
+codec(Io &io, R &r)
 {
-    w.f64(r.arrival);
-    w.i64(r.inputTokens);
-    w.i64(r.outputTokens);
-    w.i64(r.priority);
-    w.f64(r.deadline);
-    w.i64(r.sessionId);
-    w.u64(r.prefixHashes.size());
-    for (std::uint64_t h : r.prefixHashes)
-        w.u64(h);
+    codec(io, r.req);
+    io.choice(r.state, RequestState::Done, "request state");
+    io.i64(r.traceIndex);
+    io.f64(r.notBefore);
+    io.check(std::isfinite(r.notBefore), "non-finite retry gate");
+    io.i64(r.effOut);
+    io.f64(r.prefillStart);
+    io.i64(r.prefillDone);
+    io.i64(r.generated);
+    io.i64(r.preemptions);
+    io.flag(r.degraded);
+    io.u64(r.seq);
+    io.i64(r.cachedPrefix);
+    io.f64(r.prefillEnd);
+    io.check(0 <= r.generated && r.generated <= r.effOut &&
+                 r.effOut <= r.req.outputTokens && 0 <= r.prefillDone &&
+                 r.prefillDone <= r.req.inputTokens &&
+                 0 <= r.cachedPrefix &&
+                 r.cachedPrefix <= r.req.inputTokens &&
+                 r.preemptions >= 0,
+             "request progress out of range");
 }
 
+template <class T>
 void
-restore(ByteReader &r, ServerRequest &out)
+encode(ByteWriter &w, const T &v)
 {
-    out.arrival = r.f64();
-    out.inputTokens = r.i64();
-    out.outputTokens = r.i64();
-    out.priority = static_cast<int>(r.i64());
-    out.deadline = r.f64();
-    out.sessionId = r.i64();
-    const std::uint64_t nHashes = r.u64();
-    out.prefixHashes.resize(nHashes);
-    for (auto &h : out.prefixHashes)
-        h = r.u64();
+    WireWriter io(w);
+    codec(io, v);
 }
 
+template <class T>
 void
-serialize(ByteWriter &w, const ServedRequest &r)
+decode(ByteReader &r, T &out)
 {
-    serialize(w, r.request);
-    w.u8(static_cast<std::uint8_t>(r.outcome));
-    w.f64(r.queueDelay);
-    w.f64(r.serviceTime);
-    w.f64(r.finish);
-    w.i64(r.generated);
-    w.i64(r.preemptions);
-    w.u8(r.degraded ? 1 : 0);
-    w.i64(r.traceIndex);
-    w.i64(r.cachedPrefix);
-    w.f64(r.firstToken);
+    WireReader io(r);
+    T t;
+    codec(io, t);
+    out = std::move(t);
 }
 
-void
-restore(ByteReader &r, ServedRequest &out)
-{
-    restore(r, out.request);
-    const std::uint8_t outcome = r.u8();
-    fatal_if(
-        outcome > static_cast<std::uint8_t>(RequestOutcome::Cancelled),
-        "ServedRequest restore: invalid outcome ", int(outcome));
-    out.outcome = static_cast<RequestOutcome>(outcome);
-    out.queueDelay = r.f64();
-    out.serviceTime = r.f64();
-    out.finish = r.f64();
-    out.generated = r.i64();
-    out.preemptions = static_cast<int>(r.i64());
-    out.degraded = r.u8() != 0;
-    out.traceIndex = r.i64();
-    out.cachedPrefix = r.i64();
-    out.firstToken = r.f64();
-}
+} // namespace
 
-void
-serialize(ByteWriter &w, const TrackedRequest &r)
-{
-    serialize(w, r.req);
-    w.u8(static_cast<std::uint8_t>(r.state));
-    w.i64(r.traceIndex);
-    w.f64(r.notBefore);
-    w.i64(r.effOut);
-    w.f64(r.prefillStart);
-    w.i64(r.prefillDone);
-    w.i64(r.generated);
-    w.i64(r.preemptions);
-    w.u8(r.degraded ? 1 : 0);
-    w.u64(r.seq);
-    w.i64(r.cachedPrefix);
-    w.f64(r.prefillEnd);
-}
-
-void
-restore(ByteReader &r, TrackedRequest &out)
-{
-    restore(r, out.req);
-    const std::uint8_t state = r.u8();
-    fatal_if(state > static_cast<std::uint8_t>(RequestState::Done),
-             "TrackedRequest restore: invalid state ", int(state));
-    out.state = static_cast<RequestState>(state);
-    out.traceIndex = r.i64();
-    out.notBefore = r.f64();
-    out.effOut = r.i64();
-    out.prefillStart = r.f64();
-    out.prefillDone = r.i64();
-    out.generated = r.i64();
-    out.preemptions = static_cast<int>(r.i64());
-    out.degraded = r.u8() != 0;
-    out.seq = r.u64();
-    out.cachedPrefix = r.i64();
-    out.prefillEnd = r.f64();
-}
+void serialize(ByteWriter &w, const ServerRequest &r) { encode(w, r); }
+void restore(ByteReader &r, ServerRequest &out) { decode(r, out); }
+void serialize(ByteWriter &w, const ServedRequest &r) { encode(w, r); }
+void restore(ByteReader &r, ServedRequest &out) { decode(r, out); }
+void serialize(ByteWriter &w, const TrackedRequest &r) { encode(w, r); }
+void restore(ByteReader &r, TrackedRequest &out) { decode(r, out); }
 
 } // namespace engine
 } // namespace edgereason

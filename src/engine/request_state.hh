@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-request lifecycle for the layered serving stack.  A request moves
+ * Per-request records of the layered serving stack.  A request moves
  * through an explicit state machine:
  *
  *     Queued ──admit──> Prefilling ──prompt done──> Decoding ──> Done
@@ -10,17 +10,15 @@
  *       └────────────── (re-queue) <────────┘   (retry, backoff-gated)
  *
  * Terminal Done covers every RequestOutcome (completed, timed out,
- * shed).  TrackedRequest carries one request through all of its states
- * — the scheduler ranks Queued/Preempted entries, the executor drives
- * Prefilling/Decoding ones — and transitionTo() panics on any edge not
- * in the diagram, so a scheduling bug trips an invariant instead of
- * silently corrupting accounting.
+ * shed).  The live lifecycle runs on the columnar RequestBatch pool
+ * (engine/request_batch.hh), whose transition() panics on any edge
+ * not in the diagram (requestTransitionAllowed), so a scheduling bug
+ * trips an invariant instead of silently corrupting accounting.
+ * TrackedRequest is the plain wire record of one pooled request.
  */
 
 #ifndef EDGEREASON_ENGINE_REQUEST_STATE_HH
 #define EDGEREASON_ENGINE_REQUEST_STATE_HH
-
-#include <limits>
 
 #include "common/binio.hh"
 #include "common/types.hh"
@@ -148,19 +146,12 @@ const char *requestStateName(RequestState s);
 bool requestTransitionAllowed(RequestState from, RequestState to);
 
 /**
- * One request tracked through its whole lifecycle.  Queued/Preempted
- * entries live in the scheduler queue; Prefilling/Decoding ones in the
- * executor's in-flight sets.  Preemption is recompute-on-resume: the
- * in-flight fields are discarded on eviction and re-initialized by
- * resetForAdmission() on the next admission.
- *
- * Since the columnar refactor (DESIGN.md §11) the executor's live
- * state is the struct-of-arrays RequestBatch pool; this struct is its
- * *materialized view* (`pool.materialize(id)` / `pool.adopt(t)`),
- * kept as the unit of the checkpoint/journal wire format and of
- * scheduler code that wants a whole request by value.  Field-for-field
- * it mirrors the pool's columns, so the serialized bytes are
- * unchanged from the pre-columnar executor.
+ * One pooled request as a plain record: the checkpoint/journal wire
+ * unit of the executor's columnar RequestBatch (`pool.materialize(id)`
+ * / `pool.adopt(t)`) and of callers that hand a whole request to the
+ * pool (arrival pumps, tests).  Field for field it mirrors the pool's
+ * columns; every lifecycle rule (transitions, deadlines, retry gates,
+ * admission reset) lives on RequestBatch.
  */
 struct TrackedRequest
 {
@@ -181,44 +172,6 @@ struct TrackedRequest
     SeqId seq = 0; //!< paged-mode KV sequence handle
     Tokens cachedPrefix = 0; //!< prompt tokens attached from the prefix index
     Seconds prefillEnd = 0.0; //!< instant prefill completed (TTFT marker)
-
-    /** Move to @p next; panics on an edge not in the state machine. */
-    void transitionTo(RequestState next);
-
-    /** @return true if the request carries a deadline. */
-    bool hasDeadline() const { return req.deadline > 0.0; }
-
-    /** @return absolute deadline instant (+inf when none). */
-    Seconds absoluteDeadline() const
-    {
-        return hasDeadline()
-            ? req.arrival + req.deadline
-            : std::numeric_limits<Seconds>::infinity();
-    }
-
-    /** @return true if the deadline has passed at @p now. */
-    bool deadlineExpired(Seconds now) const
-    {
-        return hasDeadline() &&
-            now > req.arrival + req.deadline + kDeadlineSlack;
-    }
-
-    /** @return true if the retry-backoff gate is open at @p now. */
-    bool eligibleAt(Seconds now) const
-    {
-        return notBefore <= now + kTimeSlack;
-    }
-
-    /**
-     * (Re-)initialize the in-flight fields at admission time
-     * (recompute-on-resume: prior prefill/decode progress is
-     * discarded work).  Transitions to Prefilling.  @p cached_prefix
-     * prompt tokens were attached from the prefix index, so prefill
-     * starts there instead of at zero.
-     */
-    void resetForAdmission(Seconds now, Tokens eff_out,
-                           bool degraded_now, SeqId kv_seq,
-                           Tokens cached_prefix = 0);
 };
 
 // --- Checkpoint/journal serialization (common/binio format) ----------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -260,6 +261,50 @@ struct TraceArrivals
     }
 };
 
+/** The single-node checkpoint payload, by reference to the run's
+ *  state: written at each checkpoint, decoded on resume. */
+struct CheckpointPayload
+{
+    std::uint64_t step = 0;
+    const Scheduler &scheduler;
+    ServingState &st;
+    std::vector<ServedRequest> &served;
+    std::size_t &nextArrival;
+    std::size_t traceSize;
+    BatchExecutor &exec;
+    /** RngBank streams (name -> state), present iff haveRng. */
+    bool haveRng = false;
+    std::map<std::string, std::string> rng;
+};
+
+template <class Io>
+void
+codec(Io &io, CheckpointPayload &p)
+{
+    io.u64(p.step);
+    if constexpr (Io::kDecoding)
+        p.scheduler.verifyMatches(io.reader());
+    else
+        p.scheduler.serialize(io.writer());
+    io.obj(p.st);
+    io.list(p.served, 1, [&](auto &s) { io.obj(s); });
+    io.u64(p.nextArrival);
+    io.check(p.nextArrival <= p.traceSize, "checkpoint arrival cursor ",
+             p.nextArrival, " exceeds trace size ", p.traceSize);
+    io.obj(p.exec);
+    io.flag(p.haveRng);
+    if (!p.haveRng)
+        return;
+    std::vector<std::pair<std::string, std::string>> streams(
+        p.rng.begin(), p.rng.end());
+    io.list(streams, 4 + 4, [&](auto &e) {
+        io.str(e.first);
+        io.str(e.second);
+    });
+    if constexpr (Io::kDecoding)
+        p.rng = {streams.begin(), streams.end()};
+}
+
 } // namespace
 
 ServingReport
@@ -279,6 +324,10 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
                  trace[i - 1].arrival, " s");
         fatal_if(trace[i].deadline < 0.0,
                  "negative deadline on request ", i);
+        fatal_if(trace[i].inputTokens < 1 || trace[i].outputTokens < 1,
+                 "request ", i, " has ", trace[i].inputTokens,
+                 " input and ", trace[i].outputTokens,
+                 " output tokens; both must be >= 1");
         st.haveDeadlines = st.haveDeadlines || trace[i].deadline > 0.0;
     }
 
@@ -308,35 +357,21 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
         const std::string payload =
             loadCheckpointFile(ckPath, fingerprint);
         ByteReader r(payload);
-        step = r.u64();
-        fatal_if(step != ckStep, "checkpoint ", ckPath,
-                 " is named for step ", ckStep,
-                 " but its payload records step ", step);
-        scheduler_->verifyMatches(r);
-        st.restore(r);
-        const std::uint64_t nServed = r.u64();
-        served_.clear();
-        for (std::uint64_t i = 0; i < nServed; ++i) {
-            ServedRequest s;
-            engine::restore(r, s);
-            served_.push_back(std::move(s));
-        }
-        arrivals.next = static_cast<std::size_t>(r.u64());
-        fatal_if(arrivals.next > trace.size(),
-                 "checkpoint arrival cursor ", arrivals.next,
-                 " exceeds trace size ", trace.size());
-        exec.restore(r);
-        if (r.u8() != 0) {
-            std::map<std::string, std::string> states;
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string name = r.str();
-                states[std::move(name)] = r.str();
-            }
-            if (dur.rngBank != nullptr)
-                dur.rngBank->restore(states);
-        }
+        WireReader io(r);
+        std::vector<ServedRequest> served;
+        std::size_t next = 0;
+        CheckpointPayload p{0,    *scheduler_,  st,   served,
+                            next, trace.size(), exec, false, {}};
+        codec(io, p);
         r.expectEnd("checkpoint payload");
+        fatal_if(p.step != ckStep, "checkpoint ", ckPath,
+                 " is named for step ", ckStep,
+                 " but its payload records step ", p.step);
+        step = p.step;
+        served_ = std::move(served);
+        arrivals.next = next;
+        if (p.haveRng && dur.rngBank != nullptr)
+            dur.rngBank->restore(p.rng);
         restoredStep = step;
         resumed = true;
         journal = Journal::resumeAt(journalPath, fingerprint, step,
@@ -382,26 +417,16 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
               step % dur.checkpointEvery == 0)) &&
             !(resumed && step == restoredStep);
         if (ckptDue) {
-            ByteWriter w;
-            w.u64(step);
-            scheduler_->serialize(w);
-            st.serialize(w);
-            w.u64(served_.size());
-            for (const auto &s : served_)
-                engine::serialize(w, s);
-            w.u64(arrivals.next);
-            exec.serialize(w);
+            CheckpointPayload p{step,          *scheduler_,  st,
+                                served_,       arrivals.next,
+                                trace.size(),  exec,         false, {}};
             if (dur.rngBank != nullptr) {
-                w.u8(1);
-                const auto states = dur.rngBank->serialize();
-                w.u64(states.size());
-                for (const auto &[name, state] : states) {
-                    w.str(name);
-                    w.str(state);
-                }
-            } else {
-                w.u8(0);
+                p.haveRng = true;
+                p.rng = dur.rngBank->serialize();
             }
+            ByteWriter w;
+            WireWriter io(w);
+            codec(io, p);
             writeCheckpointFile(
                 checkpointPath(dur.checkpointDir, step), fingerprint,
                 w);

@@ -494,6 +494,13 @@ FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
 void
 FleetSimulator::onArrival(const Event &e)
 {
+    const engine::ServerRequest &req = srcPending_;
+    fatal_if(req.inputTokens < 1 || req.outputTokens < 1,
+             "fleet request ", e.gid, " has ", req.inputTokens,
+             " input and ", req.outputTokens,
+             " output tokens; both must be >= 1");
+    fatal_if(req.deadline < 0.0, "negative deadline on fleet request ",
+             e.gid);
     Track &t = allocTrack(e.gid);
     t.req = srcPending_;
     t.gid = e.gid;
@@ -828,6 +835,8 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
             const Seconds lo = stopIndex_.minKey();
             if (lo == kInf)
                 break; // no events, no busy nodes: done
+            fatal_if(lo + kDrainQuantum == lo, "fleet node clock ", lo,
+                     " s is too large to advance");
             syncNodesTo(lo + kDrainQuantum);
             continue;
         }
@@ -1032,87 +1041,165 @@ FleetSimulator::writeCheckpoint(const FleetDurabilityOptions &dur,
     lastCkptEvent_ = eventCount_;
 }
 
+template <class Io, class Self>
 void
-FleetSimulator::serializeState(ByteWriter &w) const
+FleetSimulator::stateCodec(Io &io, Self &f)
 {
     // Durable runs always keep exact statistics, so the approx-mode
     // P² latency state never needs to travel.
-    w.f64(now_);
-    w.u64(seq_);
-    w.u64(eventCount_);
-    w.u64(srcIssued_);
+    const auto nNodes = static_cast<std::int64_t>(f.nodes_.size());
+    io.f64(f.now_);
+    io.u64(f.seq_);
+    io.u64(f.eventCount_);
+    io.u64(f.srcIssued_);
+    io.check(f.srcIssued_ <= f.srcTotal_,
+             "fleet checkpoint trace position ", f.srcIssued_,
+             " is past the trace end ", f.srcTotal_);
     // The heap vector verbatim, in container order: the array layout
     // (not just the multiset of events) is part of the run's
     // determinism, and round-tripping it preserves the heap property
     // for free.
-    w.u64(heap_.size());
-    for (const Event &e : heap_) {
-        w.f64(e.time);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.u64(e.seq);
-        w.i64(e.gid);
-        w.i64(e.node);
-        w.f64(e.aux);
-        w.i64(e.local);
-        w.f64(e.latency);
-        w.u8(e.legOutcome);
-    }
+    io.list(f.heap_, 8 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 1, [&](auto &e) {
+        io.f64(e.time);
+        io.choice(e.kind, static_cast<int>(KArrival), "fleet event kind");
+        io.u64(e.seq);
+        io.i64(e.gid);
+        io.i64(e.node);
+        io.f64(e.aux);
+        io.i64(e.local);
+        io.f64(e.latency);
+        io.choice(e.legOutcome,
+                  static_cast<std::uint8_t>(
+                      engine::RequestOutcome::Cancelled),
+                  "leg outcome");
+        // Node events and outcomes index a node; the rest carry -1 or
+        // the node a retry excludes.
+        const bool onNode = e.kind <= KDegradeEnd && e.kind != KCloudDone;
+        io.check(e.node >= (onNode ? 0 : -1) && e.node < nNodes,
+                 "fleet event node ", e.node, " out of range");
+    });
+
     // Live tracks in ascending gid order, each with its pool slot,
     // then the free-slot stack: the pool layout round-trips exactly.
-    std::vector<std::pair<std::int64_t, std::size_t>> live(
-        slotOf_.begin(), slotOf_.end());
-    std::sort(live.begin(), live.end());
-    w.u64(tracks_.size());
-    w.u64(live.size());
-    for (const auto &[gid, slot] : live) {
-        const Track &t = tracks_[slot];
-        w.u64(slot);
-        engine::serialize(w, t.req);
-        w.i64(t.gid);
-        w.f64(t.absDeadline);
-        for (const Leg &leg : t.legs) {
-            w.i64(leg.node);
-            w.i64(leg.local);
-            w.u8(leg.live ? 1 : 0);
+    std::size_t pool = f.tracks_.size();
+    io.count(pool, 8);
+    std::vector<std::pair<std::int64_t, std::size_t>> live;
+    if constexpr (!Io::kDecoding) {
+        live.assign(f.slotOf_.begin(), f.slotOf_.end());
+        std::sort(live.begin(), live.end());
+    }
+    std::size_t nlive = live.size();
+    io.count(nlive, 8);
+    io.check(nlive <= pool, "fleet checkpoint has ", nlive,
+             " live tracks in a pool of ", pool);
+    std::vector<bool> taken;
+    if constexpr (Io::kDecoding) {
+        f.tracks_.assign(pool, Track{});
+        taken.assign(pool, false);
+        f.slotOf_.clear();
+    }
+    const auto claim = [&](std::size_t slot) {
+        io.check(slot < pool && !taken[slot], "fleet checkpoint "
+                 "track slot ", slot, " is out of range or reused");
+        taken[slot] = true;
+    };
+    for (std::size_t k = 0; k < nlive; ++k) {
+        std::size_t slot = Io::kDecoding ? 0 : live[k].second;
+        io.u64(slot);
+        if constexpr (Io::kDecoding)
+            claim(slot);
+        auto &t = f.tracks_[slot];
+        io.obj(t.req);
+        io.i64(t.gid);
+        io.f64(t.absDeadline);
+        for (auto &leg : t.legs) {
+            io.i64(leg.node);
+            io.i64(leg.local);
+            io.flag(leg.live);
+            io.check(leg.node >= -2 && leg.node < nNodes,
+                     "fleet checkpoint leg node ", leg.node,
+                     " out of range");
         }
-        w.i64(t.hedgeSlot);
-        w.i64(t.attempts);
-        w.i64(t.pendingTimers);
-        w.u8(t.hedgeScheduled ? 1 : 0);
+        io.i64(t.hedgeSlot);
+        io.i64(t.attempts);
+        io.i64(t.pendingTimers);
+        io.flag(t.hedgeScheduled);
+        io.check(t.hedgeSlot >= -1 && t.hedgeSlot <= 1 &&
+                     t.attempts >= 0 && t.pendingTimers >= 0,
+                 "fleet checkpoint track with hedge slot ", t.hedgeSlot,
+                 ", ", t.attempts, " attempts, ", t.pendingTimers,
+                 " timers");
+        if constexpr (Io::kDecoding)
+            io.check(t.gid >= 0 &&
+                         static_cast<std::uint64_t>(t.gid) <
+                             f.srcIssued_ &&
+                         f.slotOf_.emplace(t.gid, slot).second,
+                     "fleet checkpoint track gid ", t.gid,
+                     " is out of range or duplicated");
     }
-    w.u64(freeSlots_.size());
-    for (const std::size_t slot : freeSlots_)
-        w.u64(slot);
-    w.u64(foldServed_);
-    w.u64(foldTimedOut_);
-    w.u64(foldShed_);
-    w.u64(foldOffloaded_);
-    w.u64(foldDeadlineMet_);
-    w.f64(foldMakespan_);
-    w.u64(foldLat_.size());
-    for (const auto &[gid, lat] : foldLat_) {
-        w.i64(gid);
-        w.f64(lat);
+    io.list(f.freeSlots_, 8, [&](auto &slot) {
+        io.u64(slot);
+        if constexpr (Io::kDecoding)
+            claim(slot);
+    });
+    io.check(nlive + f.freeSlots_.size() == pool, "fleet checkpoint "
+             "pool of ", pool, " slots has ", nlive, " live and ",
+             f.freeSlots_.size(), " free");
+
+    io.u64(f.foldServed_);
+    io.u64(f.foldTimedOut_);
+    io.u64(f.foldShed_);
+    io.u64(f.foldOffloaded_);
+    io.u64(f.foldDeadlineMet_);
+    io.f64(f.foldMakespan_);
+    io.list(f.foldLat_, 8 + 8, [&](auto &e) {
+        io.i64(e.first);
+        io.f64(e.second);
+    });
+    if constexpr (Io::kDecoding) {
+        // Every drawn request is folded, live, or the queued arrival.
+        const bool arrivalQueued =
+            std::any_of(f.heap_.begin(), f.heap_.end(),
+                        [](const Event &e) { return e.kind == KArrival; });
+        const std::size_t folded = f.foldServed_ + f.foldTimedOut_ +
+            f.foldShed_ + f.foldOffloaded_;
+        io.check(folded + nlive + (arrivalQueued ? 1 : 0) ==
+                     f.srcIssued_,
+                 "fleet checkpoint accounts for ", folded, " folded + ",
+                 nlive, " live requests at trace position ",
+                 f.srcIssued_);
     }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        w.u64(liveOnNode_[i].size());
-        for (const std::int64_t gid : liveOnNode_[i])
-            w.i64(gid);
-        w.i64(consecFailures_[i]);
-        w.f64(cooldownUntil_[i]);
-        w.i64(degradeDepth_[i]);
+
+    for (std::size_t i = 0; i < f.nodes_.size(); ++i) {
+        std::vector<std::int64_t> gids(f.liveOnNode_[i].begin(),
+                                       f.liveOnNode_[i].end());
+        io.list(gids, 8, [&](auto &gid) { io.i64(gid); });
+        if constexpr (Io::kDecoding)
+            f.liveOnNode_[i] = {gids.begin(), gids.end()};
+        io.i64(f.consecFailures_[i]);
+        io.f64(f.cooldownUntil_[i]);
+        io.i64(f.degradeDepth_[i]);
+        io.check(f.consecFailures_[i] >= 0 && f.degradeDepth_[i] >= 0,
+                 "fleet checkpoint: negative breaker count on node ", i);
     }
-    w.u64(retries_);
-    w.u64(failovers_);
-    w.u64(hedgesLaunched_);
-    w.u64(hedgeWins_);
-    w.u64(hedgeWaste_);
-    w.u64(cancelledLegs_);
-    w.u64(adaptiveEjections_);
-    w.f64(cloudDollars_);
-    router_->serialize(w);
-    for (const P2Quantile &q : latQ_)
-        q.serialize(w);
+    io.u64(f.retries_);
+    io.u64(f.failovers_);
+    io.u64(f.hedgesLaunched_);
+    io.u64(f.hedgeWins_);
+    io.u64(f.hedgeWaste_);
+    io.u64(f.cancelledLegs_);
+    io.u64(f.adaptiveEjections_);
+    io.f64(f.cloudDollars_);
+    io.obj(*f.router_);
+    for (auto &q : f.latQ_)
+        io.obj(q);
+}
+
+void
+FleetSimulator::serializeState(ByteWriter &w) const
+{
+    WireWriter io(w);
+    stateCodec(io, *this);
     for (const auto &n : nodes_)
         n->serialize(w);
 }
@@ -1122,120 +1209,56 @@ FleetSimulator::restoreState(ByteReader &r,
                              const FleetDurabilityOptions &dur,
                              engine::VectorTraceSource &src)
 {
-    now_ = r.f64();
-    seq_ = r.u64();
-    eventCount_ = r.u64();
-    srcIssued_ = static_cast<std::size_t>(r.u64());
-    fatal_if(srcIssued_ > srcTotal_, "fleet checkpoint trace position ",
-             srcIssued_, " is past the trace end ", srcTotal_);
+    // Decodes straight into this simulator: run() is single-shot, so
+    // a resume that fatal()s leaves nothing that could run on.
+    WireReader io(r);
+    stateCodec(io, *this);
+    for (auto &n : nodes_)
+        n->restore(r, eventCount_, dur.verifyTail);
     if (srcIssued_ > 0) {
         src.seek(srcIssued_ - 1);
         srcPending_ = src.next();
     }
-    heap_.clear();
-    const std::uint64_t nheap = r.u64();
-    heap_.reserve(nheap);
-    bool arrival_queued = false;
-    for (std::uint64_t i = 0; i < nheap; ++i) {
-        Event e;
-        e.time = r.f64();
-        e.kind = r.u8();
-        e.seq = r.u64();
-        e.gid = r.i64();
-        e.node = static_cast<int>(r.i64());
-        e.aux = r.f64();
-        e.local = r.i64();
-        e.latency = r.f64();
-        e.legOutcome = r.u8();
-        arrival_queued = arrival_queued || e.kind == KArrival;
-        heap_.push_back(e);
-    }
-
-    const std::uint64_t pool = r.u64();
-    const std::uint64_t nlive = r.u64();
-    fatal_if(nlive > pool, "fleet checkpoint has ", nlive,
-             " live tracks in a pool of ", pool);
-    tracks_.assign(static_cast<std::size_t>(pool), Track{});
-    std::vector<bool> taken(tracks_.size(), false);
-    const auto claim = [&](std::uint64_t slot) {
-        fatal_if(slot >= pool || taken[slot], "fleet checkpoint "
-                 "track slot ", slot, " is out of range or reused");
-        taken[slot] = true;
-        return static_cast<std::size_t>(slot);
-    };
-    slotOf_.clear();
-    for (std::uint64_t k = 0; k < nlive; ++k) {
-        const std::size_t slot = claim(r.u64());
-        Track &t = tracks_[slot];
-        engine::restore(r, t.req);
-        t.gid = r.i64();
-        t.absDeadline = r.f64();
-        for (Leg &leg : t.legs) {
-            leg.node = static_cast<int>(r.i64());
-            leg.local = r.i64();
-            leg.live = r.u8() != 0;
-        }
-        t.hedgeSlot = static_cast<int>(r.i64());
-        t.attempts = static_cast<int>(r.i64());
-        t.pendingTimers = static_cast<int>(r.i64());
-        t.hedgeScheduled = r.u8() != 0;
-        fatal_if(t.gid < 0 ||
-                     static_cast<std::uint64_t>(t.gid) >= srcIssued_ ||
-                     !slotOf_.emplace(t.gid, slot).second,
-                 "fleet checkpoint track gid ", t.gid,
-                 " is out of range or duplicated");
-    }
-    freeSlots_.resize(static_cast<std::size_t>(r.u64()));
-    fatal_if(nlive + freeSlots_.size() != pool, "fleet checkpoint "
-             "pool of ", pool, " slots has ", nlive, " live and ",
-             freeSlots_.size(), " free");
-    for (std::size_t &slot : freeSlots_)
-        slot = claim(r.u64());
-    foldServed_ = static_cast<std::size_t>(r.u64());
-    foldTimedOut_ = static_cast<std::size_t>(r.u64());
-    foldShed_ = static_cast<std::size_t>(r.u64());
-    foldOffloaded_ = static_cast<std::size_t>(r.u64());
-    foldDeadlineMet_ = static_cast<std::size_t>(r.u64());
-    foldMakespan_ = r.f64();
-    foldLat_.resize(static_cast<std::size_t>(r.u64()));
-    for (auto &[gid, lat] : foldLat_) {
-        gid = r.i64();
-        lat = r.f64();
-    }
-    // Every drawn request is folded, live, or the queued arrival.
-    const std::size_t folded =
-        foldServed_ + foldTimedOut_ + foldShed_ + foldOffloaded_;
-    fatal_if(folded + nlive + (arrival_queued ? 1 : 0) != srcIssued_,
-             "fleet checkpoint accounts for ", folded, " folded + ",
-             nlive, " live requests at trace position ", srcIssued_);
-
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        liveOnNode_[i].clear();
-        const std::uint64_t nlegs = r.u64();
-        for (std::uint64_t k = 0; k < nlegs; ++k)
-            liveOnNode_[i].insert(r.i64());
-        consecFailures_[i] = static_cast<int>(r.i64());
-        cooldownUntil_[i] = r.f64();
-        degradeDepth_[i] = static_cast<int>(r.i64());
-    }
-    retries_ = static_cast<std::size_t>(r.u64());
-    failovers_ = static_cast<std::size_t>(r.u64());
-    hedgesLaunched_ = static_cast<std::size_t>(r.u64());
-    hedgeWins_ = static_cast<std::size_t>(r.u64());
-    hedgeWaste_ = static_cast<std::size_t>(r.u64());
-    cancelledLegs_ = static_cast<std::size_t>(r.u64());
-    adaptiveEjections_ = static_cast<std::size_t>(r.u64());
-    cloudDollars_ = r.f64();
-    router_->restore(r);
-    for (P2Quantile &q : latQ_)
-        q.restore(r);
-    for (auto &n : nodes_)
-        n->restore(r, eventCount_, dur.verifyTail);
     lastCkptEvent_ = eventCount_;
     // The stop index and router views are derived state: rebuild the
     // former from the restored nodes, invalidate the latter.
     refreshAllNodes();
     viewsDirty_ = true;
+    // Cross-record consistency the event handlers rely on: a down
+    // node waits on exactly one reboot and a live one on none; a
+    // track's retry timers are all in the heap; a cloud completion has
+    // its live cloud leg; the queued arrival is the next request.
+    // Then the paranoid audit.
+    std::vector<int> reboots(nodes_.size(), 0);
+    std::unordered_map<std::int64_t, int> timers;
+    for (const Event &e : heap_) {
+        const Track *t = findTrack(e.gid);
+        if (e.kind == KReboot)
+            ++reboots[static_cast<std::size_t>(e.node)];
+        else if (e.kind == KRetryTimer)
+            ++timers[e.gid];
+        fatal_if(e.kind == KCloudDone &&
+                     !(t && ((t->legs[0].live && t->legs[0].node == -2) ||
+                             (t->legs[1].live && t->legs[1].node == -2))),
+                 "fleet checkpoint: cloud completion of request ", e.gid,
+                 " without a live cloud leg");
+        fatal_if(e.kind == KArrival &&
+                     (t || e.time != srcPending_.arrival ||
+                      e.gid + 1 != static_cast<std::int64_t>(srcIssued_)),
+                 "fleet checkpoint: queued arrival of request ", e.gid,
+                 " at ", e.time, " s, trace position ", srcIssued_);
+    }
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        fatal_if(reboots[i] != (nodes_[i]->up() ? 0 : 1),
+                 "fleet checkpoint: node ", i, " is ",
+                 nodes_[i]->up() ? "up" : "down", " with ", reboots[i],
+                 " pending reboot(s)");
+    for (const auto &[gid, slot] : slotOf_)
+        timers[gid] -= tracks_[slot].pendingTimers;
+    for (const auto &[gid, n] : timers)
+        fatal_if(n != 0, "fleet checkpoint: request ", gid, " has ", n,
+                 " queued retry timer(s) more than it counts");
+    audit(now_);
 }
 
 FleetReport

@@ -379,6 +379,12 @@ class FleetSimulator
         const;
     void writeCheckpoint(const FleetDurabilityOptions &dur,
                          std::uint64_t fingerprint);
+    /** The one codec of the fleet-level checkpoint state (events,
+     *  tracks, legs, fold tallies, breaker state, counters, router and
+     *  latency quantiles); the nodes follow it on the wire.  @p Self
+     *  is FleetSimulator or const FleetSimulator. */
+    template <class Io, class Self>
+    static void stateCodec(Io &io, Self &f);
     void serializeState(ByteWriter &w) const;
     void restoreState(ByteReader &r, const FleetDurabilityOptions &dur,
                       engine::VectorTraceSource &src);

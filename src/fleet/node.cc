@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <unordered_set>
 
 #include "common/logging.hh"
 #include "model/calibration.hh"
@@ -267,97 +268,103 @@ FleetNode::totals() const
     return t;
 }
 
+template <class Io, class Self>
+void
+FleetNode::codec(Io &io, Self &n)
+{
+    io.flag(n.up_);
+    io.u64(n.incarnation_);
+    io.i64(n.submitted_);
+    io.check(n.submitted_ >= 0, "fleet node ", n.id_,
+             " checkpoint: negative submission count");
+    // The local -> gid map travels sorted by local index.
+    std::vector<std::pair<std::int64_t, std::int64_t>> locals;
+    if constexpr (!Io::kDecoding) {
+        locals.assign(n.gidOfLocal_.begin(), n.gidOfLocal_.end());
+        std::sort(locals.begin(), locals.end());
+    }
+    io.list(locals, 8 + 8, [&](auto &e) {
+        io.i64(e.first);
+        io.i64(e.second);
+    });
+    if constexpr (Io::kDecoding) {
+        n.gidOfLocal_.clear();
+        for (const auto &[local, gid] : locals)
+            io.check(local >= 0 && local < n.submitted_ &&
+                         n.gidOfLocal_.emplace(local, gid).second,
+                     "fleet node ", n.id_, " checkpoint: local index ",
+                     local, " is out of range or duplicated");
+    }
+    io.list(n.pending_, 8, [&](auto &p) {
+        io.obj(p.req);
+        io.i64(p.local);
+    });
+    io.f64(n.life_.energy);
+    io.f64(n.life_.busy);
+    io.f64(n.life_.generatedTokens);
+    io.u64(n.life_.crashes);
+    io.u64(n.releasedCounts_.served);
+    io.u64(n.releasedCounts_.timedOut);
+    io.u64(n.releasedCounts_.cancelled);
+    io.list(n.served_, 8, [&](auto &rec) { io.obj(rec); });
+    if (!n.up_)
+        return;
+    if constexpr (Io::kDecoding) {
+        n.scheduler_->verifyMatches(io.reader());
+        n.startExecutor();
+    } else {
+        n.scheduler_->serialize(io.writer());
+    }
+    io.obj(n.st_);
+    io.obj(*n.exec_);
+}
+
 void
 FleetNode::serialize(ByteWriter &w) const
 {
-    w.u8(up_ ? 1 : 0);
-    w.u64(incarnation_);
-    w.i64(submitted_);
-    std::vector<std::pair<std::int64_t, std::int64_t>> locals(
-        gidOfLocal_.begin(), gidOfLocal_.end());
-    std::sort(locals.begin(), locals.end());
-    w.u64(locals.size());
-    for (const auto &[local, gid] : locals) {
-        w.i64(local);
-        w.i64(gid);
-    }
-    w.u64(pending_.size());
-    for (const Pending &p : pending_) {
-        engine::serialize(w, p.req);
-        w.i64(p.local);
-    }
-    w.f64(life_.energy);
-    w.f64(life_.busy);
-    w.f64(life_.generatedTokens);
-    w.u64(life_.crashes);
-    w.u64(releasedCounts_.served);
-    w.u64(releasedCounts_.timedOut);
-    w.u64(releasedCounts_.cancelled);
-    w.u64(served_.size());
-    for (const auto &rec : served_)
-        engine::serialize(w, rec);
-    if (up_) {
-        scheduler_->serialize(w);
-        st_.serialize(w);
-        exec_->serialize(w);
-    }
+    WireWriter io(w);
+    codec(io, *this);
 }
 
 void
 FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
                    bool verify_tail)
 {
-    up_ = r.u8() != 0;
-    incarnation_ = r.u64();
-    submitted_ = r.i64();
-    gidOfLocal_.clear();
-    const std::uint64_t nlocals = r.u64();
-    for (std::uint64_t i = 0; i < nlocals; ++i) {
-        const std::int64_t local = r.i64();
-        const std::int64_t gid = r.i64();
-        fatal_if(local < 0 || local >= submitted_ ||
-                     !gidOfLocal_.emplace(local, gid).second,
-                 "fleet node ", id_, " checkpoint: local index ", local,
-                 " is out of range or duplicated");
-    }
-    pending_.clear();
-    const std::uint64_t npending = r.u64();
-    for (std::uint64_t i = 0; i < npending; ++i) {
-        Pending p;
-        engine::restore(r, p.req);
-        p.local = r.i64();
-        pending_.push_back(std::move(p));
-    }
-    life_.energy = r.f64();
-    life_.busy = r.f64();
-    life_.generatedTokens = r.f64();
-    life_.crashes = r.u64();
-    releasedCounts_.served = static_cast<std::size_t>(r.u64());
-    releasedCounts_.timedOut = static_cast<std::size_t>(r.u64());
-    releasedCounts_.cancelled = static_cast<std::size_t>(r.u64());
-    served_.clear();
-    served_.resize(r.u64());
-    for (auto &rec : served_)
-        engine::restore(r, rec);
+    WireReader io(r);
+    codec(io, *this);
+    // Every leg the node still holds is held once, and all but the
+    // cancel echoes map back to their fleet request.
+    std::unordered_set<std::int64_t> held;
+    const auto hold = [&](std::int64_t local, bool needs_gid = true) {
+        fatal_if(!held.insert(local).second ||
+                     (needs_gid && gidOfLocal_.count(local) == 0),
+                 "fleet node ", id_, " checkpoint: leg ", local,
+                 " is held twice or has no fleet request");
+    };
+    for (const Pending &p : pending_)
+        hold(p.local);
+    for (const auto &rec : served_)
+        hold(rec.traceIndex,
+             rec.outcome != engine::RequestOutcome::Cancelled);
     if (up_) {
-        scheduler_->verifyMatches(r);
-        st_ = engine::ServingState();
-        st_.restore(r);
-        startExecutor();
-        exec_->restore(r);
-        if (!journalDir_.empty()) {
-            journal_ = engine::Journal::resumeAt(
-                journalPath(), journalFingerprint(), event_mark,
-                verify_tail);
-            exec_->setJournal(&journal_);
-        }
-    } else {
+        for (std::size_t i = 0; i < st_.queue.size(); ++i)
+            hold(st_.pool.traceIndex(st_.queue[i]));
+        for (const auto *ids : {&st_.prefilling, &st_.active})
+            for (const engine::ReqId id : *ids)
+                hold(st_.pool.traceIndex(id));
+    }
+    if (!up_) {
         // Down at checkpoint time: no executor, no journal.  A later
         // reboot starts the next incarnation fresh; its journal file
         // is recreated and deterministically re-emitted.
         journal_ = engine::Journal();
         exec_.reset();
         st_ = engine::ServingState();
+    } else if (!journalDir_.empty()) {
+        journal_ = engine::Journal::resumeAt(
+            journalPath(), journalFingerprint(), event_mark,
+            verify_tail);
+        exec_->setJournal(&journal_);
     }
 }
 

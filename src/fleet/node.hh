@@ -258,6 +258,10 @@ class FleetNode
         engine::TrackedRequest pop();
     };
 
+    /** The one codec of serialize()/restore() (node.cc); @p Self is
+     *  FleetNode or const FleetNode. */
+    template <class Io, class Self> static void codec(Io &io, Self &n);
+
     /** Start a fresh executor incarnation wired to this node's
      *  gray-failure schedule. */
     void startExecutor();

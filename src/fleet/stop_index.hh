@@ -10,7 +10,7 @@
  * event.
  *
  * Determinism: the index is value-compared only.  minKey() is a pure
- * minimum over the keys, and collectBelow() returns ids in ascending
+ * minimum over the keys, and collectLagging() returns ids in ascending
  * order — exactly the order the legacy scan produced — so heap layout
  * and key tie-breaking never leak into fleet arithmetic.  The index
  * is derived state: never serialized, rebuilt from the nodes after a
@@ -111,7 +111,7 @@ class NodeStopIndex
     bool less(std::size_t a, std::size_t b) const
     {
         // Key ties broken by id so sift moves are deterministic; the
-        // tie-break never surfaces (minKey is a value, collectBelow
+        // tie-break never surfaces (minKey is a value, collectLagging
         // sorts), it just keeps the structure canonical.
         const Seconds ka = key_[heap_[a]], kb = key_[heap_[b]];
         if (ka != kb)

@@ -77,8 +77,6 @@ class RooflineGpu
     const GpuEfficiency &efficiency() const { return eff_; }
     /** @return the active power mode. */
     PowerMode powerMode() const { return mode_; }
-    /** Change the power mode (rescales peak rates). */
-    void setPowerMode(PowerMode mode) { mode_ = mode; }
 
     /** @return effective peak DRAM bandwidth under the power mode. */
     double effectivePeakBandwidth() const;

@@ -201,26 +201,33 @@ ThermalSimulator::sustainedSpeedFactor(Watts maxn_power,
     return speed_time / duration;
 }
 
+template <class Io, class Self>
 void
-ThermalSimulator::serialize(ByteWriter &w) const
+ThermalSimulator::codec(Io &io, Self &t)
 {
-    w.f64(temp_);
-    w.u8(static_cast<std::uint8_t>(mode_));
+    io.f64(t.temp_);
+    io.check(std::isfinite(t.temp_),
+             "thermal restore: non-finite temperature");
+    io.choice(t.mode_, PowerMode::MaxN, "power mode");
     // trajectory_ intentionally omitted: samples are observability-only
     // and never feed back into temperature or governance.
 }
 
 void
+ThermalSimulator::serialize(ByteWriter &w) const
+{
+    WireWriter io(w);
+    codec(io, *this);
+}
+
+void
 ThermalSimulator::restore(ByteReader &r)
 {
-    const double temp = r.f64();
-    const std::uint8_t mode = r.u8();
-    fatal_if(!std::isfinite(temp),
-             "thermal restore: non-finite temperature");
-    fatal_if(mode > static_cast<std::uint8_t>(PowerMode::MaxN),
-             "thermal restore: invalid power mode ", int(mode));
-    temp_ = temp;
-    mode_ = static_cast<PowerMode>(mode);
+    ThermalSimulator t(spec_);
+    WireReader io(r);
+    codec(io, t);
+    temp_ = t.temp_;
+    mode_ = t.mode_;
     trajectory_.clear();
 }
 

@@ -152,6 +152,10 @@ class ThermalSimulator
     void restore(ByteReader &r);
 
   private:
+    /** The one codec of serialize()/restore() (thermal.cc); @p Self
+     *  is ThermalSimulator or const ThermalSimulator. */
+    template <class Io, class Self> static void codec(Io &io, Self &t);
+
     PowerMode stepDown(PowerMode m) const;
     PowerMode stepUp(PowerMode m) const;
     /** MAXN draw derated to the governed mode (PowerModel::finish rule). */

@@ -266,6 +266,30 @@ TEST(Faults, NonMonotoneTraceThrows)
     EXPECT_THROW(srv.run(bad), std::runtime_error);
     std::vector<ServerRequest> neg = {{0.0, 64, 64, 0, -1.0}};
     EXPECT_THROW(srv.run(neg), std::runtime_error);
+    // Non-positive token counts are rejected at the trace boundary,
+    // naming the request, in both stepping modes (macro-stepping used
+    // to "complete" a 0-output request after 0 tokens and exact mode
+    // after 1).
+    for (const bool exact : {true, false}) {
+        ServerConfig cfg;
+        cfg.exactSteps = exact;
+        ServingSimulator s(eng, cfg);
+        for (const auto &[in, out] :
+             {std::pair<er::Tokens, er::Tokens>{100, 0}, {100, -5},
+              {0, 64}}) {
+            std::vector<ServerRequest> t = {{0.0, 64, 64},
+                                            {1.0, in, out}};
+            try {
+                s.run(t);
+                ADD_FAILURE() << "accepted " << in << "-in/" << out
+                              << "-out request";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("request 1 has"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(Faults, FallbackModeRequiresFallbackEngine)

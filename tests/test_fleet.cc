@@ -450,6 +450,40 @@ TEST(FleetRetry, TimeoutBudgetExhaustsIntoTimedOut)
               static_cast<std::size_t>(fc.maxRetries) * rep.arrivals);
 }
 
+TEST(FleetTrace, RejectsNonPositiveTokensAndNegativeDeadlines)
+{
+    // The fleet validates each request as it arrives — one check for
+    // run() and runStream() — and names the request index.
+    FleetConfig fc;
+    fc.nodes.assign(2, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
+    struct Case
+    {
+        er::Tokens in, out;
+        double deadline;
+    };
+    for (const Case c : {Case{100, 0, 0.0}, Case{100, -5, 0.0},
+                         Case{0, 64, 0.0}, Case{64, 64, -1.0}}) {
+        std::vector<ServerRequest> trace(2);
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            trace[i].arrival = static_cast<double>(i);
+            trace[i].inputTokens = 64;
+            trace[i].outputTokens = 64;
+        }
+        trace[1].inputTokens = c.in;
+        trace[1].outputTokens = c.out;
+        trace[1].deadline = c.deadline;
+        try {
+            FleetSimulator(fc).run(trace);
+            ADD_FAILURE() << "accepted " << c.in << "-in/" << c.out
+                          << "-out request with deadline " << c.deadline;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("fleet request 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // --- Cloud offload: saturation spills to the priced tier -------------
 
 TEST(FleetCloud, SaturationOffloadsAndCharges)

@@ -13,12 +13,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/binio.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "engine/checkpoint.hh"
 #include "engine/server.hh"
 #include "fleet/fleet.hh"
 #include "fleet/node_faults.hh"
@@ -195,6 +202,91 @@ TEST(FleetRecovery, ResumesWithHedgedLegsAndTrippedBreaker)
     }
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);
+}
+
+// --- Mutation sweep over checkpoint bytes ----------------------------
+
+TEST(FleetRecovery, MutatedCheckpointsFatalOrComplete)
+{
+    // Every payload byte of a fleet checkpoint gets one bit flipped
+    // and the checksum re-signed, so the mutation reaches the
+    // decoders; each resume must then complete or fatal().  A count,
+    // enum or index they fail to bound shows up as a signal, a
+    // sanitizer report, std::bad_alloc or std::length_error instead.
+    // Input: a 2-node fleet with crashes, hedging and adaptive health,
+    // checkpointed late in the run so each resume is short.
+    FleetConfig fc = recoveryConfig(RouterPolicy::DeadlineAware);
+    fc.nodes.resize(2);
+    fc.paranoid = false;
+    fc.adaptiveHealth = true;
+    fc.healthMinSamples = 2;
+    er::Rng rng(11, "fleet-mutation");
+    auto trace = ServingSimulator::poissonTrace(rng, 24, 1.0, 48, 64);
+    for (auto &r : trace)
+        r.deadline = 40.0;
+
+    // Per-process directory: the sweep rewrites its files thousands of
+    // times, so two build trees testing at once must not share it.
+    const auto dir = std::filesystem::temp_directory_path() /
+        ("edgereason_fleet_mutation_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    FleetDurabilityOptions dur;
+    dur.checkpointDir = dir.string();
+    dur.checkpointEvery = 8;
+    const std::string full =
+        formatFleetReport(FleetSimulator(fc).run(trace, dur));
+    const auto ckpts = er::engine::listCheckpoints(dur.checkpointDir);
+    ASSERT_GE(ckpts.size(), 2u);
+    const auto [event, path] = ckpts[ckpts.size() / 2];
+    std::string ckpt;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        ckpt = buf.str();
+    }
+
+    FleetDurabilityOptions res = dur;
+    res.resume = true;
+    res.checkpointEvery = 0; // the mutated checkpoint stays the latest
+    const auto resume = [&](const std::string &c) {
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        std::ofstream(path, std::ios::binary) << c;
+        return formatFleetReport(FleetSimulator(fc).run(trace, res));
+    };
+    ASSERT_EQ(resume(ckpt), full);
+
+    constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
+    std::size_t completed = 0, fatals = 0;
+    std::vector<std::string> failures;
+    for (std::size_t i = kHeader; i + 8 < ckpt.size(); ++i) {
+        std::string c = ckpt;
+        c[i] = static_cast<char>(c[i] ^ (1 << (i % 8)));
+        er::ByteWriter ck;
+        ck.u64(er::fnv1a(std::string_view(c).substr(0, c.size() - 8)));
+        c.replace(c.size() - 8, 8, ck.bytes());
+        try {
+            resume(c);
+            ++completed;
+        } catch (const std::runtime_error &) {
+            ++fatals;
+        } catch (const std::exception &e) {
+            failures.push_back("byte " + std::to_string(i) + ": " +
+                               e.what());
+        }
+    }
+    std::string report;
+    for (std::size_t i = 0; i < failures.size() && i < 10; ++i)
+        report += "\n  " + failures[i];
+    EXPECT_TRUE(failures.empty())
+        << failures.size()
+        << " resume(s) neither completed nor fatal()ed:" << report;
+    std::printf("fleet checkpoint %zu B at event %llu: %zu re-signed "
+                "flips resumed, %zu fatal\n",
+                ckpt.size(), static_cast<unsigned long long>(event),
+                completed, fatals);
+    std::filesystem::remove_all(dir);
 }
 
 // --- Gray failure + quantile-adaptive health -------------------------

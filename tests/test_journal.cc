@@ -270,6 +270,75 @@ TEST(Journal, ReplayFailsWithoutRunBegin)
     fs::remove_all(dir);
 }
 
+namespace {
+
+/** Append one correctly checksummed record to a journal file image. */
+void
+appendRecord(std::string &file, JournalRecordType type,
+             const std::string &payload)
+{
+    er::ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(type));
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    std::string frame = w.bytes() + payload;
+    er::ByteWriter ck;
+    ck.u64(er::fnv1a(frame));
+    file += frame + ck.bytes();
+}
+
+} // namespace
+
+TEST(Journal, ReplayAndDumpRejectBadEnumBytesAndTrailingBytes)
+{
+    // Checksums hold, so only the payload decoders can catch these;
+    // replay and the dump share them, so both fatal() alike, naming
+    // the offset of the bad byte.
+    const auto dir = scratchDir("journal_badenum");
+    const std::string good = readFile(makeJournal(dir, 9));
+    const std::string path = dir + "/bad.bin";
+    const auto expectBoth = [&](const std::string &file,
+                                std::initializer_list<const char *> subs) {
+        writeFile(path, file);
+        expectFatalContaining([&] { replayServingReport(path); }, subs);
+        expectFatalContaining(
+            [&] {
+                std::ostringstream os;
+                dumpJournalText(path, os);
+            },
+            subs);
+    };
+
+    // run-begin whose scheduler-policy byte is 7: header (20 bytes),
+    // record frame (5), trace size (8), then the policy byte at 33.
+    std::string file = good.substr(0, 20);
+    er::ByteWriter begin;
+    begin.u64(3);
+    begin.u8(7);
+    begin.f64(0.25);
+    appendRecord(file, JournalRecordType::RunBegin, begin.bytes());
+    expectBoth(file, {"invalid scheduler policy 7", "offset 33"});
+
+    // A fault record whose kind byte is 9, after a valid journal.
+    er::ByteWriter fault;
+    fault.u8(9);
+    for (int i = 0; i < 4; ++i)
+        fault.f64(1.0);
+    file = good;
+    appendRecord(file, JournalRecordType::Fault, fault.bytes());
+    expectBoth(file, {"invalid fault kind 9",
+                      ("offset " + std::to_string(good.size() + 5))
+                          .c_str()});
+
+    // A checkpoint mark with a byte past its payload.
+    er::ByteWriter mark;
+    mark.u64(4);
+    mark.u8(0);
+    file = good;
+    appendRecord(file, JournalRecordType::CheckpointMark, mark.bytes());
+    expectBoth(file, {"trailing byte"});
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint files.
 // ---------------------------------------------------------------------

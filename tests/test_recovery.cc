@@ -16,11 +16,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "accuracy/trace_gen.hh"
+#include "common/binio.hh"
+#include "common/rng.hh"
 #include "engine/auditor.hh"
 #include "engine/checkpoint.hh"
 #include "engine/executor.hh"
@@ -439,6 +446,206 @@ TEST(Recovery, RngBankRoundTripsThroughCheckpoint)
     auto srv2 = makeServer(eng, s, SchedulerPolicy::Fcfs);
     srv2.run(s.trace, planOf(s), res);
     EXPECT_EQ(bank.serialize(), expected_states);
+    fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Mutation sweep: every bit-flipped checkpoint or journal either
+// resumes to completion or fatal()s.  Re-signing the checksum after a
+// flip gets the mutation past the container check, so it reaches the
+// payload decoders: a count, enum, flag or index they fail to bound
+// shows up here as a signal, a sanitizer report, std::bad_alloc or
+// std::length_error instead of a fatal().
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &data)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << data;
+}
+
+/** Re-sign a checkpoint file: its last 8 bytes are the FNV-1a of all
+ *  the bytes before them. */
+void
+resignCheckpoint(std::string &file)
+{
+    const std::size_t body = file.size() - 8;
+    er::ByteWriter ck;
+    ck.u64(er::fnv1a(std::string_view(file).substr(0, body)));
+    file.replace(body, 8, ck.bytes());
+}
+
+/** Outcomes of one mutation sweep. */
+struct MutationTally
+{
+    std::size_t completed = 0;
+    std::size_t fatals = 0;
+    std::vector<std::string> failures; //!< anything but the two above
+
+    /** Run @p attempt and file its outcome under byte @p offset. */
+    template <class F> void run(std::size_t offset, F &&attempt)
+    {
+        try {
+            attempt();
+            ++completed;
+        } catch (const std::runtime_error &) {
+            ++fatals;
+        } catch (const std::exception &e) {
+            failures.push_back("byte " + std::to_string(offset) + ": " +
+                               e.what());
+        }
+    }
+
+    std::string report() const
+    {
+        std::string out = std::to_string(failures.size()) +
+            " resume(s) neither completed nor fatal()ed:";
+        for (std::size_t i = 0; i < failures.size() && i < 10; ++i)
+            out += "\n  " + failures[i];
+        return out;
+    }
+};
+
+/** Header bytes of a checkpoint file before its payload. */
+constexpr std::size_t kCheckpointHeaderBytes = 8 + 4 + 8 + 8;
+
+} // namespace
+
+TEST(Recovery, MutatedCheckpointsAndJournalsFatalOrComplete)
+{
+    // A small durable run with faults (brownouts, KV shrinks, thermal)
+    // and the prefix cache on paged KV, crashed late so each resume is
+    // short.
+    auto eng = makeEngine();
+    Scenario s;
+    s.cfg.maxBatch = 4;
+    s.cfg.prefillChunk = 64;
+    s.cfg.prefixCache.enabled = true;
+    er::acc::SessionTraceConfig sc;
+    sc.sessions = 3;
+    sc.turnsPerSession = 2;
+    sc.sessionQps = 1.0;
+    sc.meanTurnGap = 2.0;
+    sc.systemPromptTokens = 48;
+    sc.meanUserTokens = 16.0;
+    sc.meanAnswerTokens = 8.0;
+    sc.meanThinkTokens = 16.0;
+    er::Rng rng(5, "mutation");
+    s.trace = er::acc::generateSessionTrace(sc, rng);
+    for (auto &r : s.trace)
+        r.deadline = 60.0;
+    s.fc.seed = 0xFA17;
+    s.fc.horizon = s.trace.back().arrival + 600.0;
+    s.fc.thermal = true;
+    s.fc.brownoutsPerHour = 600.0;
+    s.fc.kvShrinksPerHour = 600.0;
+    s.fc.kvShrinkFraction = 0.5;
+    s.fc.kvShrinkDuration = 5.0;
+    s.faulted = true;
+
+    // Per-process directory: the sweep rewrites its files thousands of
+    // times, so two build trees testing at once must not share it.
+    const auto dir = scratchDir("mutation_" + std::to_string(::getpid()));
+    DurabilityOptions dur;
+    dur.checkpointDir = dir;
+    dur.checkpointEvery = 2;
+    auto srv = makeServer(eng, s, SchedulerPolicy::Edf);
+    const ServingReport full = srv.run(s.trace, planOf(s), dur);
+    const auto ckpts = listCheckpoints(dir);
+    ASSERT_GE(ckpts.size(), 3u);
+    // Crash a step past the second-to-last checkpoint: its resume
+    // re-executes a verified journal tail.
+    const std::uint64_t crash_step = ckpts[ckpts.size() - 2].first + 1;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    auto crasher = makeServer(eng, s, SchedulerPolicy::Edf);
+    EXPECT_THROW(crasher.run(s.trace,
+                             planOf(s, static_cast<std::int64_t>(
+                                           crash_step)),
+                             dur),
+                 SimulatedCrash);
+    const auto [step, ckpt_path] = listCheckpoints(dir).back();
+    const std::string ckpt = readFile(ckpt_path);
+    const std::string journal_path = dir + "/journal.bin";
+    const std::string journal = readFile(journal_path);
+    ASSERT_GT(ckpt.size(), kCheckpointHeaderBytes + 8);
+
+    DurabilityOptions res = dur;
+    res.resume = true;
+    res.checkpointEvery = 0; // the mutated checkpoint stays the latest
+    const auto resume = [&](const std::string &c, const std::string &j) {
+        writeFile(ckpt_path, c);
+        writeFile(journal_path, j);
+        auto r = makeServer(eng, s, SchedulerPolicy::Edf);
+        r.run(s.trace, planOf(s), res);
+    };
+    // The pristine pair resumes to the uninterrupted report, and
+    // leaves the whole run's journal behind.
+    resume(ckpt, journal);
+    const std::string whole = readFile(journal_path);
+    auto check = makeServer(eng, s, SchedulerPolicy::Edf);
+    writeFile(ckpt_path, ckpt);
+    writeFile(journal_path, journal);
+    expectIdenticalReports(full, check.run(s.trace, planOf(s), res));
+
+    MutationTally resigned, plain;
+    for (std::size_t i = kCheckpointHeaderBytes; i + 8 < ckpt.size();
+         ++i) {
+        std::string c = ckpt;
+        c[i] = static_cast<char>(c[i] ^ (1 << (i % 8)));
+        plain.run(i, [&] { resume(c, journal); });
+        resignCheckpoint(c);
+        resigned.run(i, [&] { resume(c, journal); });
+    }
+    for (std::size_t i = 0; i < journal.size(); ++i) {
+        std::string j = journal;
+        j[i] = static_cast<char>(j[i] ^ (1 << (i % 8)));
+        plain.run(i, [&] { resume(ckpt, j); });
+    }
+    // Re-signed records of the whole run's journal, read back by
+    // replay and by the dump.
+    MutationTally records;
+    const std::string copy = dir + "/mutated.bin";
+    writeFile(copy, whole);
+    for (const auto &rec : readJournal(copy).records) {
+        const std::size_t end = rec.offset + 5 + rec.payload.size();
+        for (std::size_t i = rec.offset; i < end; ++i) {
+            std::string j = whole;
+            j[i] = static_cast<char>(j[i] ^ (1 << (i % 8)));
+            er::ByteWriter ck;
+            ck.u64(er::fnv1a(std::string_view(j).substr(
+                rec.offset, end - rec.offset)));
+            j.replace(end, 8, ck.bytes());
+            writeFile(copy, j);
+            records.run(i, [&] { replayServingReport(copy); });
+            records.run(i, [&] {
+                std::ostringstream os;
+                dumpJournalText(copy, os);
+            });
+        }
+    }
+    EXPECT_TRUE(resigned.failures.empty()) << resigned.report();
+    EXPECT_TRUE(records.failures.empty()) << records.report();
+    EXPECT_TRUE(plain.failures.empty()) << plain.report();
+    // A flip the checksum still covers never gets past it.
+    EXPECT_EQ(plain.completed, 0u);
+    std::printf("checkpoint %zu B: %zu re-signed flips resumed, %zu "
+                "fatal; journal %zu B: %zu re-signed reads completed, "
+                "%zu fatal\n",
+                ckpt.size(), resigned.completed, resigned.fatals,
+                whole.size(), records.completed, records.fatals);
     fs::remove_all(dir);
 }
 
